@@ -5,32 +5,6 @@ import (
 	"testing"
 )
 
-// TestElasticDeterministic is the acceptance gate for `leapbench -fig
-// elastic`: byte-identical output for the same seed across repeated runs
-// and across -parallel settings.
-func TestElasticDeterministic(t *testing.T) {
-	a, ok := RunFigure("elastic", Small, 42)
-	if !ok {
-		t.Fatal("elastic figure not registered")
-	}
-	b, _ := RunFigure("elastic", Small, 42)
-	if a.Output != b.Output {
-		t.Fatalf("same-seed elastic runs diverged:\n%s\n---\n%s", a.Output, b.Output)
-	}
-
-	names := []string{"elastic", "1"}
-	seq := RunAll(names, Small, 42, 1)
-	par := RunAll(names, Small, 42, 4)
-	for i := range names {
-		if seq[i].Output != par[i].Output {
-			t.Fatalf("figure %s: parallel output differs from sequential", names[i])
-		}
-	}
-	if seq[0].Output != a.Output {
-		t.Fatal("runner output differs from direct RunFigure output")
-	}
-}
-
 // TestElasticControlImprovesTail checks the figure's substance: the control
 // loop must strictly improve the overall and peak p99 over the static
 // baseline, actually detect the injected partition, route around it faster

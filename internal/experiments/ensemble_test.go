@@ -4,33 +4,6 @@ import (
 	"testing"
 )
 
-// TestEnsembleDeterministic is the acceptance gate for `leapbench -fig
-// ensemble`: byte-identical output for the same seed across repeated runs
-// and across -parallel settings. The figure runs the online selector's full
-// epoch/hysteresis machinery per cell, so this also pins the selector's
-// determinism end to end.
-func TestEnsembleDeterministic(t *testing.T) {
-	a, ok := RunFigure("ensemble", Small, 42)
-	if !ok {
-		t.Fatal("ensemble figure not registered")
-	}
-	b, _ := RunFigure("ensemble", Small, 42)
-	if a.Output != b.Output {
-		t.Fatalf("same-seed ensemble runs diverged:\n%s\n---\n%s", a.Output, b.Output)
-	}
-	names := []string{"ensemble", "1"}
-	seq := RunAll(names, Small, 42, 1)
-	par := RunAll(names, Small, 42, 4)
-	for i := range names {
-		if StripMeasured(seq[i].Output) != StripMeasured(par[i].Output) {
-			t.Fatalf("figure %s: parallel output differs from sequential", names[i])
-		}
-	}
-	if seq[0].Output != a.Output {
-		t.Fatal("runner output differs from direct RunFigure output")
-	}
-}
-
 // ensembleGateTolerance is the hit-ratio slack the selector is allowed
 // against the best fixed policy: convergence noise, worth a handful of
 // accesses per cell. A wrong selection costs whole percentage points (e.g.

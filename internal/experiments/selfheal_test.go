@@ -2,17 +2,6 @@ package experiments
 
 import "testing"
 
-// TestSelfhealDeterministic is the reproducibility gate on the
-// runtime-integration figure: the full leap.Memory fault path plus an
-// attached control plane must replay byte-identically from (Scale, seed).
-func TestSelfhealDeterministic(t *testing.T) {
-	a := Selfheal(Small, 42).String()
-	b := Selfheal(Small, 42).String()
-	if a != b {
-		t.Fatalf("selfheal figure not deterministic:\n%s\n---\n%s", a, b)
-	}
-}
-
 // TestSelfhealControlWins pins the figure's claim: under the same faults,
 // the supervised runtime's tail is strictly better than the unsupervised
 // one, and the control plane demonstrably walked the whole detector cycle

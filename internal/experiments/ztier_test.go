@@ -4,33 +4,6 @@ import (
 	"testing"
 )
 
-// TestZtierDeterministic is the acceptance gate for `leapbench -fig ztier`:
-// byte-identical output for the same seed across repeated runs and across
-// -parallel settings. The figure drives real page images through the
-// compressed tier and the wire codec, so this also pins the codec's
-// determinism end to end.
-func TestZtierDeterministic(t *testing.T) {
-	a, ok := RunFigure("ztier", Small, 42)
-	if !ok {
-		t.Fatal("ztier figure not registered")
-	}
-	b, _ := RunFigure("ztier", Small, 42)
-	if a.Output != b.Output {
-		t.Fatalf("same-seed ztier runs diverged:\n%s\n---\n%s", a.Output, b.Output)
-	}
-	names := []string{"ztier", "1"}
-	seq := RunAll(names, Small, 42, 1)
-	par := RunAll(names, Small, 42, 4)
-	for i := range names {
-		if StripMeasured(seq[i].Output) != StripMeasured(par[i].Output) {
-			t.Fatalf("figure %s: parallel output differs from sequential", names[i])
-		}
-	}
-	if seq[0].Output != a.Output {
-		t.Fatal("runner output differs from direct RunFigure output")
-	}
-}
-
 // TestZtierTierWins pins the headline acceptance criterion: with the tier
 // enabled at equal RAM, at least one application workload shows a strictly
 // higher hit ratio than the tier-off run — and every tier cell that hit the
