@@ -356,17 +356,7 @@ func TestMemoryEnsembleStress(t *testing.T) {
 // TestMemoryEnsembleOptionValidation pins the option- and hint-misuse
 // errors.
 func TestMemoryEnsembleOptionValidation(t *testing.T) {
-	pf, err := NewPrefetcher("stride")
-	if err != nil {
-		t.Fatal(err)
-	}
 	factory := func() Prefetcher { p, _ := NewPrefetcher("stride"); return p }
-	if _, err := Open(WithPrefetcher(pf), WithPrefetcherFactory(factory)); err == nil {
-		t.Fatal("WithPrefetcher accepted alongside WithPrefetcherFactory")
-	}
-	if _, err := Open(WithEnsemble(EnsembleConfig{}), WithPrefetcher(pf)); err == nil {
-		t.Fatal("WithEnsemble accepted alongside WithPrefetcher")
-	}
 	if _, err := Open(WithEnsemble(EnsembleConfig{}), WithPrefetcherFactory(factory)); err == nil {
 		t.Fatal("WithEnsemble accepted alongside WithPrefetcherFactory")
 	}
@@ -376,10 +366,6 @@ func TestMemoryEnsembleOptionValidation(t *testing.T) {
 	if _, err := Open(WithPrefetcherFactory(func() Prefetcher { return nil })); err == nil {
 		t.Fatal("nil-returning prefetcher factory accepted")
 	}
-	if _, err := Open(WithShards(2), WithPrefetcher(pf)); err == nil {
-		t.Fatal("shared WithPrefetcher accepted on a sharded runtime")
-	}
-	// WithPrefetcherFactory is exactly the sharded replacement.
 	mem, err := Open(WithShards(2), WithPrefetcherFactory(factory))
 	if err != nil {
 		t.Fatal(err)

@@ -97,7 +97,7 @@ func concurrencyRun(depth, clients int, ops int64, seed uint64, shared bool) (lo
 	pf.Shared = shared
 	mem, err := runtime.Open(
 		runtime.WithSeed(seed),
-		runtime.WithPrefetcher(pf),
+		runtime.WithPrefetcherFactory(func() prefetch.Prefetcher { return pf }),
 		runtime.WithCacheCapacity(concurrencyCache),
 		runtime.WithQueueDepth(depth),
 		runtime.WithConcurrency(8),

@@ -12,7 +12,7 @@
 //     read. Fully deterministic — a failing seed replays exactly. This is
 //     the property-test mode.
 //   - Measure: Sequential plus per-operation virtual-latency recording
-//     (total and CPU-serial share via Memory.LastFault), feeding the
+//     (total and CPU-serial share via Client.LastFault), feeding the
 //     closed-loop concurrency model that `leapbench -fig concurrency`
 //     renders. Deterministic, so the figure is byte-identical across runs.
 //
@@ -299,8 +299,8 @@ func Sequential(mem *runtime.Memory, cfg Config) (Result, error) {
 }
 
 // sequential is Sequential with an optional per-op observer (Measure's
-// recording hook), called after each Step with the acting stream.
-func sequential(mem *runtime.Memory, cfg Config, observe func(*Stream)) (Result, int64, error) {
+// recording hook), called after each Step with the acting handle.
+func sequential(mem *runtime.Memory, cfg Config, observe func(*runtime.Client)) (Result, int64, error) {
 	streams := make([]*Stream, cfg.Clients)
 	ios := make([]*runtime.Client, cfg.Clients)
 	for i := range streams {
@@ -327,7 +327,7 @@ func sequential(mem *runtime.Memory, cfg Config, observe func(*Stream)) (Result,
 			remaining--
 		}
 		if observe != nil {
-			observe(s)
+			observe(ios[c])
 		}
 	}
 	return Result{Ops: ops, Streams: streams}, ops, nil

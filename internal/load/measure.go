@@ -35,13 +35,13 @@ type Measurement struct {
 
 // Measure runs cfg's streams on the calling goroutine (the Sequential
 // interleave), recording each operation's virtual-time cost and serial
-// share via Memory.LastFault. The Memory must not be driven by any other
-// goroutine during the measurement.
+// share via the acting handle's Client.LastFault. The Memory must not be
+// driven by any other goroutine during the measurement.
 func Measure(mem *runtime.Memory, cfg Config) (Measurement, error) {
 	cfg = cfg.withDefaults()
 	var ms Measurement
-	_, ops, err := sequential(mem, cfg, func(*Stream) {
-		total, serial := mem.LastFault()
+	_, ops, err := sequential(mem, cfg, func(c *runtime.Client) {
+		total, serial := c.LastFault()
 		ms.Total += total + OpOverhead
 		ms.Serial += serial + OpOverhead
 		if total > 0 {

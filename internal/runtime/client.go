@@ -6,6 +6,7 @@ import (
 	"leap/internal/core"
 	"leap/internal/prefetch"
 	"leap/internal/remote"
+	"leap/internal/sim"
 )
 
 // Client is a handle binding one logical client — the paper's "process" —
@@ -23,9 +24,10 @@ import (
 // serializes all of them. Client id 0 shares its predictor with the
 // Memory's own ReadAt/WriteAt/Get, which run as client 0.
 type Client struct {
-	m   *Memory
-	pid prefetch.PID
-	buf []byte
+	m    *Memory
+	pid  prefetch.PID
+	buf  []byte
+	last faultCost // the handle's most recent page access (LastFault)
 }
 
 // Client returns a new handle for logical client id (negative ids are
@@ -45,11 +47,17 @@ func (c *Client) Memory() *Memory { return c.m }
 
 // ReadAt implements io.ReaderAt over the shared paged address space,
 // recording the faults with this client's predictor.
-func (c *Client) ReadAt(p []byte, off int64) (int, error) { return c.m.readAt(c.pid, p, off) }
+func (c *Client) ReadAt(p []byte, off int64) (n int, err error) {
+	n, c.last, err = c.m.readAt(c.pid, p, off)
+	return n, err
+}
 
 // WriteAt implements io.WriterAt over the shared paged address space,
 // recording the faults with this client's predictor.
-func (c *Client) WriteAt(p []byte, off int64) (int, error) { return c.m.writeAt(c.pid, p, off) }
+func (c *Client) WriteAt(p []byte, off int64) (n int, err error) {
+	n, c.last, err = c.m.writeAt(c.pid, p, off)
+	return n, err
+}
 
 // Get faults page pg in (prefetching around it, driven by this client's
 // predictor) and returns its 4KB image. The returned slice is owned by the
@@ -57,11 +65,20 @@ func (c *Client) WriteAt(p []byte, off int64) (int, error) { return c.m.writeAt(
 // under the fault-path lock, so unlike Memory.Get the bytes are stable
 // under concurrency.
 func (c *Client) Get(pg core.PageID) ([]byte, error) {
-	if err := c.m.getInto(c.pid, pg, c.buf); err != nil {
+	if _, err := c.ReadAt(c.buf, int64(pg)*remote.PageSize); err != nil {
 		return nil, err
 	}
 	return c.buf, nil
 }
+
+// LastFault reports the virtual-time cost of this handle's most recent page
+// access — for a multi-page ReadAt or WriteAt, its last page: the fault's
+// total latency, and the CPU-serial share that cannot overlap other
+// goroutines' faults (data-path traversal, cache work; the rest is
+// waitable wire time). A resident hit reports (0, 0). Other handles'
+// accesses never change it. The closed-loop concurrency model
+// (internal/load) reads it after every operation.
+func (c *Client) LastFault() (total, serial sim.Duration) { return c.last.total, c.last.serial }
 
 // PredictorStats reports this client's predictor statistics, when the
 // Memory runs the Leap prefetcher — directly, or as an arm of the

@@ -146,24 +146,27 @@ func (m *Memory) noteAction(a control.Action) {
 	m.planeActs[a.Kind].Add(1)
 }
 
-// planeDue reports whether the control tick cadence has elapsed, advancing
-// the next-tick deadline when it has. Lock-free: the deadline is an atomic
-// and a CAS elects exactly one goroutine per due tick — a raced shard
-// simply sees the advanced deadline and skips. The tick itself must run
-// with no shard lock held (see tickPlane).
-func (m *Memory) planeDue() (sim.Time, bool) {
-	if m.plane == nil {
-		return 0, false
+// tickIfDue runs one control tick when the tick cadence has elapsed. Every
+// operation calls it after releasing its shard lock: the tick must run with
+// no shard lock held (see tickPlane). Without a plane it is one inlined nil
+// check — the cadence test stays out of line, off the hit path.
+func (m *Memory) tickIfDue() {
+	if m.plane != nil {
+		m.tickOnCadence()
 	}
+}
+
+// tickOnCadence ticks the plane if the next-tick deadline has passed,
+// advancing it. Lock-free: the deadline is an atomic and a CAS elects
+// exactly one goroutine per due tick — a raced caller simply sees the
+// advanced deadline and skips.
+func (m *Memory) tickOnCadence() {
 	now := m.clock.Now()
 	next := m.planeNext.Load()
-	if int64(now) < next {
-		return 0, false
+	if int64(now) < next || !m.planeNext.CompareAndSwap(next, int64(now.Add(m.planeEvery))) {
+		return
 	}
-	if !m.planeNext.CompareAndSwap(next, int64(now.Add(m.planeEvery))) {
-		return 0, false
-	}
-	return now, true
+	m.tickPlane(now)
 }
 
 // tickPlane runs one control tick at virtual time now. Callers must NOT

@@ -102,12 +102,6 @@ type Memory struct {
 	planeActs  [8]atomic.Int64
 	// slabPages sizes agents the plane provisions on the private cluster.
 	slabPages int
-
-	// lastLatency/lastSerial snapshot the most recent fault's total and
-	// CPU-serial latency for the closed-loop concurrency model (LastFault);
-	// meaningful only when one goroutine drives the Memory.
-	lastLatency atomic.Int64
-	lastSerial  atomic.Int64
 }
 
 // demandFetch is one single-flight demand read in progress with the shard
@@ -131,7 +125,6 @@ const DefaultConcurrency = 8
 
 // memOptions collects Open's functional options.
 type memOptions struct {
-	pf         prefetch.Prefetcher
 	pfFactory  func() prefetch.Prefetcher
 	ensCfg     *prefetch.EnsembleConfig
 	host       *remote.Host
@@ -148,27 +141,18 @@ type memOptions struct {
 	retry      remote.RetryPolicy
 	retrySet   bool
 	ztierBytes int64
-	ztierLat   sim.Duration
 	wireComp   bool
 }
 
 // Option configures Open.
 type Option func(*memOptions)
 
-// WithPrefetcher selects the prefetching policy consulted on every fault
-// (default: the Leap majority-trend predictor). Build baselines with
-// NewPrefetcher("readahead"), NewPrefetcher("none"), etc. A supplied
-// prefetcher is a single instance and cannot be split across stripes:
-// incompatible with WithShards beyond 1 — use WithPrefetcherFactory there,
-// which builds one instance per stripe.
-func WithPrefetcher(p prefetch.Prefetcher) Option { return func(o *memOptions) { o.pf = p } }
-
-// WithPrefetcherFactory selects the prefetching policy by factory: every
+// WithPrefetcherFactory selects the prefetching policy consulted on every
+// fault (default: the Leap majority-trend predictor) by factory: every
 // PageID stripe calls f once and owns the returned instance under its own
-// lock, so any policy — not just the default Leap — runs sharded. The
-// factory must return independent instances (stripe state is never shared).
-// Mutually exclusive with WithPrefetcher and WithEnsemble. At WithShards(1)
-// it is equivalent to WithPrefetcher(f()).
+// lock, so any policy runs sharded. The factory must return independent
+// instances (stripe state is never shared); at WithShards(1) it is called
+// exactly once. Mutually exclusive with WithEnsemble.
 func WithPrefetcherFactory(f func() prefetch.Prefetcher) Option {
 	return func(o *memOptions) { o.pfFactory = f }
 }
@@ -181,8 +165,8 @@ func WithPrefetcherFactory(f func() prefetch.Prefetcher) Option {
 // function of the access stream. Each stripe owns an independent selector
 // (per-stripe fault streams, like every predictor here); Stats.Ensemble
 // aggregates them and Client.SelectionHistory exposes per-client switches.
-// Mutually exclusive with WithPrefetcher and WithPrefetcherFactory. The
-// zero EnsembleConfig takes the documented defaults.
+// Mutually exclusive with WithPrefetcherFactory. The zero EnsembleConfig
+// takes the documented defaults.
 func WithEnsemble(cfg prefetch.EnsembleConfig) Option {
 	return func(o *memOptions) { o.ensCfg = &cfg }
 }
@@ -225,9 +209,8 @@ func WithConcurrency(n int) Option { return func(o *memOptions) { o.conc = n } }
 // sees only its own fault stream; a sequential sweep's in-stripe deltas are
 // uniform, so trend detection survives striping, and cross-stripe prefetch
 // candidates are filtered out rather than issued blind. WithShards(1) is
-// bit-identical to the pre-sharding serialized runtime. Incompatible with
-// WithPrefetcher beyond 1 shard, and WithCacheCapacity must provide at
-// least one page per shard.
+// bit-identical to the pre-sharding serialized runtime. WithCacheCapacity
+// must provide at least one page per shard.
 func WithShards(n int) Option { return func(o *memOptions) { o.shards = n } }
 
 // DefaultDecompressLatency is the virtual-time charge of unsealing one page
@@ -257,11 +240,6 @@ func WithCompressedTier(bytes int64) Option { return func(o *memOptions) { o.zti
 // counters, not the latency model. Incompatible with WithRemoteHost: set
 // RemoteHostConfig.Compress on the supplied host instead.
 func WithWireCompression(on bool) Option { return func(o *memOptions) { o.wireComp = on } }
-
-// WithDecompressLatency overrides the virtual-time charge of a compressed-
-// tier hit (default DefaultDecompressLatency; zero or negative keeps the
-// default). Meaningful only with WithCompressedTier.
-func WithDecompressLatency(d sim.Duration) Option { return func(o *memOptions) { o.ztierLat = d } }
 
 // WithClock shares a virtual clock with the runtime (for virtual-time
 // tests: fault latencies are charged to it, so a test can interleave its
@@ -316,14 +294,8 @@ func Open(opts ...Option) (*Memory, error) {
 	for nshards < o.shards {
 		nshards <<= 1
 	}
-	if o.pf != nil && o.pfFactory != nil {
-		return nil, fmt.Errorf("leap: WithPrefetcher and WithPrefetcherFactory are mutually exclusive; keep the factory")
-	}
-	if o.ensCfg != nil && (o.pf != nil || o.pfFactory != nil) {
-		return nil, fmt.Errorf("leap: WithEnsemble supplies its own per-stripe selector and is mutually exclusive with WithPrefetcher/WithPrefetcherFactory")
-	}
-	if o.pf != nil && nshards > 1 {
-		return nil, fmt.Errorf("leap: WithPrefetcher supplies a single prefetcher instance and cannot be split across %d shards; use WithPrefetcherFactory to build one instance per stripe (or WithShards(1))", nshards)
+	if o.ensCfg != nil && o.pfFactory != nil {
+		return nil, fmt.Errorf("leap: WithEnsemble supplies its own per-stripe selector and is mutually exclusive with WithPrefetcherFactory")
 	}
 	if o.capacity < nshards {
 		return nil, fmt.Errorf("leap: cache capacity %d pages < %d shards, need at least one page per shard", o.capacity, nshards)
@@ -397,8 +369,6 @@ func Open(opts ...Option) (*Memory, error) {
 				return nil, fmt.Errorf("leap: WithPrefetcherFactory returned nil for stripe %d", i)
 			}
 			pfs[i] = p
-		case o.pf != nil:
-			pfs[i] = o.pf
 		default:
 			pfs[i] = prefetch.NewLeap(core.Config{})
 		}
@@ -415,9 +385,8 @@ func Open(opts ...Option) (*Memory, error) {
 
 // newShard builds stripe idx of nshards: its own engine (latency models
 // seeded per stripe, stripe 0 keeping the user seed), the stripe's
-// prefetcher pf (resolved by Open — default Leap, a shared WithPrefetcher
-// instance at one stripe, one factory-built instance per stripe, or an
-// ensemble selector), cache, residency budget and frame pool. The global
+// prefetcher pf (resolved by Open — default Leap, one factory-built
+// instance per stripe, or an ensemble selector), cache, residency budget and frame pool. The global
 // capacity is striped statically — capacity/nshards pages each, remainder
 // to the low stripes.
 func (m *Memory) newShard(idx, nshards int, o *memOptions, pf prefetch.Prefetcher) *shard {
@@ -476,27 +445,13 @@ func (m *Memory) newShard(idx, nshards int, o *memOptions, pf prefetch.Prefetche
 		}
 		s.ztier = ztier.NewPool(zb, remote.PageSize)
 		s.ztier.OnEvict = s.ztierEvicted
-		lat := o.ztierLat
-		if lat <= 0 {
-			lat = DefaultDecompressLatency
-		}
-		s.eng.EnableZtier(s.ztier.Contains, lat)
+		s.eng.EnableZtier(s.ztier.Contains, DefaultDecompressLatency)
 	}
 	return s
 }
 
 // Now reports the runtime's virtual time.
 func (m *Memory) Now() sim.Time { return m.clock.Now() }
-
-// LastFault reports the virtual-time latency of the most recent fault —
-// total, and the CPU-serial share that cannot overlap other goroutines'
-// faults (data-path traversal, cache work; the rest is waitable wire time).
-// A resident hit reports (0, 0). Meaningful only while a single goroutine
-// drives the Memory: the closed-loop concurrency model (internal/load)
-// reads it per operation.
-func (m *Memory) LastFault() (total, serial sim.Duration) {
-	return sim.Duration(m.lastLatency.Load()), sim.Duration(m.lastSerial.Load())
-}
 
 // SetRecording toggles metric collection — populate/warmup phases run with
 // recording off, exactly like the simulator's warmup. Turning recording on
@@ -517,14 +472,6 @@ func (m *Memory) SetRecording(on bool) {
 // Host exposes the remote substrate (stats, repair, rebalance hooks). The
 // Host is itself safe for concurrent use.
 func (m *Memory) Host() *remote.Host { return m.host }
-
-// Prefetcher exposes the configured prefetcher (e.g. to read per-client
-// predictor statistics off a *prefetch.Leap). With WithShards beyond 1
-// every stripe owns a separate predictor and this returns stripe 0's; use
-// Client.PredictorStats for the cross-stripe aggregate. Prefetcher state is
-// guarded by its stripe's fault-path lock: inspect it only while no
-// operations are in flight.
-func (m *Memory) Prefetcher() prefetch.Prefetcher { return m.shards[0].eng.Prefetcher() }
 
 // zeroFrame clears a recycled frame's bytes.
 func zeroFrame(f *frame) {
@@ -571,74 +518,54 @@ func isReadOpError(err error) bool {
 func (m *Memory) Get(pg core.PageID) ([]byte, error) {
 	s := m.shardFor(pg)
 	s.mu.Lock()
-	f, err := s.page(0, pg)
+	f, _, err := s.page(0, pg)
 	var data []byte
 	if err == nil {
 		data = f.data
 	}
 	s.mu.Unlock()
-	if m.plane != nil {
-		if now, due := m.planeDue(); due {
-			m.tickPlane(now)
-		}
-	}
+	m.tickIfDue()
 	if err != nil {
 		return nil, err
 	}
 	return data, nil
 }
 
-// getInto faults pg in on behalf of pid and copies its frame into dst while
-// the shard lock is held — the concurrency-safe form of Get.
-func (m *Memory) getInto(pid prefetch.PID, pg core.PageID, dst []byte) error {
-	s := m.shardFor(pg)
-	s.mu.Lock()
-	f, err := s.page(pid, pg)
-	if err == nil {
-		copy(dst, f.data)
-	}
-	s.mu.Unlock()
-	if m.plane != nil {
-		if now, due := m.planeDue(); due {
-			m.tickPlane(now)
-		}
-	}
-	return err
-}
-
 // ReadAt implements io.ReaderAt over the paged address space: it fills p
 // from offset off, faulting (and prefetching) page by page. Never-written
 // memory reads as zeros; there is no EOF. Safe for concurrent use; each
 // page is read atomically, a multi-page span is not.
-func (m *Memory) ReadAt(p []byte, off int64) (int, error) { return m.readAt(0, p, off) }
+func (m *Memory) ReadAt(p []byte, off int64) (int, error) {
+	n, _, err := m.readAt(0, p, off)
+	return n, err
+}
 
-// readAt is ReadAt on behalf of client pid. Bytes are copied out while the
-// owning shard's lock is held, page by page.
-func (m *Memory) readAt(pid prefetch.PID, p []byte, off int64) (int, error) {
+// readAt is ReadAt on behalf of client pid, also reporting the cost of the
+// last page access. Bytes are copied out while the owning shard's lock is
+// held, page by page.
+func (m *Memory) readAt(pid prefetch.PID, p []byte, off int64) (int, faultCost, error) {
 	if off < 0 {
-		return 0, fmt.Errorf("leap: negative offset %d", off)
+		return 0, faultCost{}, fmt.Errorf("leap: negative offset %d", off)
 	}
 	n := 0
+	var cost faultCost
 	for n < len(p) {
 		pg := core.PageID(off / remote.PageSize)
 		s := m.shardFor(pg)
 		s.mu.Lock()
-		f, err := s.page(pid, pg)
+		f, fc, err := s.page(pid, pg)
+		cost = fc
 		if err != nil {
 			s.mu.Unlock()
-			return n, err
+			return n, cost, err
 		}
 		c := copy(p[n:], f.data[off%remote.PageSize:])
 		s.mu.Unlock()
-		if m.plane != nil {
-			if now, due := m.planeDue(); due {
-				m.tickPlane(now)
-			}
-		}
+		m.tickIfDue()
 		n += c
 		off += int64(c)
 	}
-	return n, nil
+	return n, cost, nil
 }
 
 // WriteAt implements io.WriterAt: it copies p into the paged address space
@@ -646,35 +573,37 @@ func (m *Memory) readAt(pid prefetch.PID, p []byte, off int64) (int, error) {
 // dirty frames are written back to the remote host on eviction through the
 // async ticket engine. Safe for concurrent use; each page is written
 // atomically, a multi-page span is not.
-func (m *Memory) WriteAt(p []byte, off int64) (int, error) { return m.writeAt(0, p, off) }
+func (m *Memory) WriteAt(p []byte, off int64) (int, error) {
+	n, _, err := m.writeAt(0, p, off)
+	return n, err
+}
 
-// writeAt is WriteAt on behalf of client pid.
-func (m *Memory) writeAt(pid prefetch.PID, p []byte, off int64) (int, error) {
+// writeAt is WriteAt on behalf of client pid, also reporting the cost of
+// the last page access.
+func (m *Memory) writeAt(pid prefetch.PID, p []byte, off int64) (int, faultCost, error) {
 	if off < 0 {
-		return 0, fmt.Errorf("leap: negative offset %d", off)
+		return 0, faultCost{}, fmt.Errorf("leap: negative offset %d", off)
 	}
 	n := 0
+	var cost faultCost
 	for n < len(p) {
 		pg := core.PageID(off / remote.PageSize)
 		s := m.shardFor(pg)
 		s.mu.Lock()
-		f, err := s.page(pid, pg)
+		f, fc, err := s.page(pid, pg)
+		cost = fc
 		if err != nil {
 			s.mu.Unlock()
-			return n, err
+			return n, cost, err
 		}
 		c := copy(f.data[off%remote.PageSize:], p[n:])
 		f.dirty = true
 		s.mu.Unlock()
-		if m.plane != nil {
-			if now, due := m.planeDue(); due {
-				m.tickPlane(now)
-			}
-		}
+		m.tickIfDue()
 		n += c
 		off += int64(c)
 	}
-	return n, nil
+	return n, cost, nil
 }
 
 // Flush drains every queued asynchronous remote operation (each shard's
@@ -683,11 +612,7 @@ func (m *Memory) writeAt(pid prefetch.PID, p []byte, off int64) (int, error) {
 // memory, not a write-through cache — and reach the host on eviction.
 func (m *Memory) Flush() error {
 	err := m.flushAll()
-	if m.plane != nil {
-		if now, due := m.planeDue(); due {
-			m.tickPlane(now)
-		}
-	}
+	m.tickIfDue()
 	return err
 }
 

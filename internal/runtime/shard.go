@@ -311,19 +311,26 @@ func (s *shard) fetchDemand(pg core.PageID, f *frame) error {
 	return err
 }
 
+// faultCost is the virtual-time charge of one page access: the fault's total
+// latency and its CPU-serial share (see Client.LastFault). A resident hit
+// costs zero.
+type faultCost struct {
+	total, serial sim.Duration
+}
+
 // page runs one access by client pid to pg through the stripe's fault path
-// and returns its frame. This is the runtime counterpart of the simulator's
-// step: flush landed prefetches, check residency, fault through
+// and returns its frame and cost. This is the runtime counterpart of the
+// simulator's step: flush landed prefetches, check residency, fault through
 // cache/in-flight/miss, consult the client's predictor, map the page in.
 // Callers hold s.mu; the returned frame is valid only until the lock is
 // released.
-func (s *shard) page(pid prefetch.PID, pg core.PageID) (*frame, error) {
+func (s *shard) page(pid prefetch.PID, pg core.PageID) (*frame, faultCost, error) {
 	m := s.m
 	if err := m.loadErr(); err != nil {
-		return nil, err
+		return nil, faultCost{}, err
 	}
 	if pg < 0 {
-		return nil, fmt.Errorf("leap: negative page %d", pg)
+		return nil, faultCost{}, fmt.Errorf("leap: negative page %d", pg)
 	}
 	recording := s.eng.Recording()
 	if recording {
@@ -340,18 +347,8 @@ func (s *shard) page(pid prefetch.PID, pg core.PageID) (*frame, error) {
 			if recording && first {
 				*s.cResidentHits++
 			}
-			// Store-on-transition: a hit zeroes the last-fault snapshot, but
-			// atomic stores are full barriers and this is the hottest line in
-			// the runtime — skip the store when the snapshot is already zero
-			// (every hit after the first).
-			if m.lastLatency.Load() != 0 {
-				m.lastLatency.Store(0)
-			}
-			if m.lastSerial.Load() != 0 {
-				m.lastSerial.Store(0)
-			}
 			f, _ := s.frames.Get(pg)
-			return f, nil
+			return f, faultCost{}, nil
 		}
 		if first {
 			if recording {
@@ -375,14 +372,13 @@ func (s *shard) page(pid prefetch.PID, pg core.PageID) (*frame, error) {
 		<-d.done
 		s.mu.Lock()
 		if err := m.loadErr(); err != nil {
-			return nil, err
+			return nil, faultCost{}, err
 		}
 	}
 
 	s.faulting.Put(pg, struct{}{})
 	latency, miss := s.eng.Fault(pid, 0, pg, now)
-	m.lastLatency.Store(int64(latency))
-	m.lastSerial.Store(int64(s.eng.LastFaultSerial))
+	cost := faultCost{total: latency, serial: s.eng.LastFaultSerial}
 	if miss {
 		// Full miss: fetch the real bytes (zeros when the page has no
 		// remote image — memory never written reads as zero).
@@ -404,7 +400,7 @@ func (s *shard) page(pid prefetch.PID, pg core.PageID) (*frame, error) {
 				s.freeFrame(f)
 				s.faulting.Delete(pg)
 				m.clock.Advance(latency)
-				return nil, fmt.Errorf("leap: page %d unreachable: %w", pg, err)
+				return nil, cost, fmt.Errorf("leap: page %d unreachable: %w", pg, err)
 			}
 		} else {
 			zeroFrame(f)
@@ -425,7 +421,7 @@ func (s *shard) page(pid prefetch.PID, pg core.PageID) (*frame, error) {
 			s.freeFrame(f)
 			s.faulting.Delete(pg)
 			m.clock.Advance(latency)
-			return nil, fmt.Errorf("leap: page %d lost its compressed image", pg)
+			return nil, cost, fmt.Errorf("leap: page %d lost its compressed image", pg)
 		}
 		f.dirty = dirty
 		s.frames.Put(pg, f)
@@ -443,9 +439,9 @@ func (s *shard) page(pid prefetch.PID, pg core.PageID) (*frame, error) {
 	f, ok := s.frames.Get(pg)
 	if !ok {
 		// Unreachable by construction: every path above installed a frame.
-		return nil, fmt.Errorf("leap: page %d lost its frame", pg)
+		return nil, cost, fmt.Errorf("leap: page %d lost its frame", pg)
 	}
-	return f, m.loadErr()
+	return f, cost, m.loadErr()
 }
 
 // CheckShardInvariants verifies the single-owner contract of the sharded

@@ -55,17 +55,12 @@ type Duration = sim.Duration
 // doorbell-batched remote I/O.
 func Open(opts ...Option) (*Memory, error) { return runtime.Open(opts...) }
 
-// WithPrefetcher selects the prefetching policy consulted on every fault
-// (default: the Leap majority-trend predictor). Build baselines with
-// NewPrefetcher("readahead"), NewPrefetcher("none"), etc. A single shared
-// instance only works on the serialized runtime — with WithShards beyond 1
-// use WithPrefetcherFactory, which builds one instance per stripe.
-func WithPrefetcher(p Prefetcher) Option { return runtime.WithPrefetcher(p) }
-
-// WithPrefetcherFactory selects the prefetching policy by constructor: f is
+// WithPrefetcherFactory selects the prefetching policy consulted on every
+// fault (default: the Leap majority-trend predictor) by constructor: f is
 // invoked once per fault-path stripe (once total at WithShards(1)), so every
 // stripe owns a private instance and no predictor state is shared across
-// shard locks. This is the sharded-runtime counterpart of WithPrefetcher.
+// shard locks. Build baselines from NewPrefetcher("readahead"),
+// NewPrefetcher("none"), etc.
 func WithPrefetcherFactory(f func() Prefetcher) Option { return runtime.WithPrefetcherFactory(f) }
 
 // EnsembleConfig tunes the WithEnsemble selector: the candidate arms (in
@@ -105,8 +100,8 @@ type SelectionEvent = runtime.SelectionEvent
 // scored against later accesses, and the selection switches when a
 // challenger sustainably out-scores the incumbent (hysteresis + streak).
 // Selection is deterministic given the seed. Incompatible with
-// WithPrefetcher and WithPrefetcherFactory; read the accounting from
-// Stats.Ensemble and MemoryClient.SelectionHistory.
+// WithPrefetcherFactory; read the accounting from Stats.Ensemble and
+// MemoryClient.SelectionHistory.
 func WithEnsemble(cfg EnsembleConfig) Option { return runtime.WithEnsemble(cfg) }
 
 // WithRemoteHost runs the Memory over an existing host — typically one
@@ -138,8 +133,8 @@ func WithConcurrency(n int) Option { return runtime.WithConcurrency(n) }
 // cache and residency budget, so page-cache hits on different stripes
 // proceed in parallel — one shard lock per hit. Page pg lands on stripe
 // pg mod n (round-robin striping). WithShards(1) is bit-identical to the
-// serialized runtime; n beyond 1 is incompatible with WithPrefetcher, and
-// WithCacheCapacity must supply at least one page per shard.
+// serialized runtime; WithCacheCapacity must supply at least one page per
+// shard.
 func WithShards(n int) Option { return runtime.WithShards(n) }
 
 // WithClock shares a virtual clock with the runtime (for virtual-time
@@ -217,8 +212,8 @@ type MemoryZtierStats = runtime.ZtierStats
 // the residency LRU and the remote host, budgeted in bytes (split evenly
 // across shards). Evicted dirty pages are sealed — compressed in local
 // memory — instead of written back; a fault on a sealed page decompresses
-// it locally at WithDecompressLatency cost instead of paying a fabric
-// round trip. When the tier overflows, the coldest sealed pages are
+// it locally, charged runtime.DefaultDecompressLatency, instead of paying a
+// fabric round trip. When the tier overflows, the coldest sealed pages are
 // written back through the async engine. bytes <= 0 disables the tier
 // (the default), which is bit-identical to the legacy runtime.
 func WithCompressedTier(bytes int64) Option { return runtime.WithCompressedTier(bytes) }
@@ -230,8 +225,3 @@ func WithCompressedTier(bytes int64) Option { return runtime.WithCompressedTier(
 // unchanged. Incompatible with WithRemoteHost — set
 // RemoteHostConfig.Compress on the supplied host instead.
 func WithWireCompression(on bool) Option { return runtime.WithWireCompression(on) }
-
-// WithDecompressLatency sets the virtual-time charge for decompressing a
-// sealed page on a compressed-tier hit (default
-// runtime.DefaultDecompressLatency). Non-positive keeps the default.
-func WithDecompressLatency(d Duration) Option { return runtime.WithDecompressLatency(d) }

@@ -151,7 +151,7 @@ func TestConcurrencyOneMatchesPR4(t *testing.T) {
 		t.Helper()
 		lp := NewLeapPrefetcher(PredictorConfig{})
 		mem, err := Open(WithSeed(seed), WithCacheCapacity(256),
-			WithQueueDepth(8), WithConcurrency(conc), WithPrefetcher(lp))
+			WithQueueDepth(8), WithConcurrency(conc), WithPrefetcherFactory(func() Prefetcher { return lp }))
 		if err != nil {
 			t.Fatal(err)
 		}

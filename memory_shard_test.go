@@ -298,9 +298,6 @@ func TestShardedOptionValidation(t *testing.T) {
 		}
 		mem.Close()
 	}
-	if _, err := Open(WithShards(2), WithPrefetcher(NewLeapPrefetcher(PredictorConfig{}))); err == nil {
-		t.Error("WithPrefetcher + WithShards(2) must be rejected: one prefetcher instance cannot be striped")
-	}
 	if _, err := Open(WithShards(8), WithCacheCapacity(4)); err == nil {
 		t.Error("capacity 4 over 8 shards must be rejected: every stripe needs at least one page")
 	}

@@ -52,6 +52,35 @@ func TestMemoryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestClientLastFaultPerHandle pins that fault costs are per handle: client
+// A's miss stays A's to read after client B takes a resident hit, and B's
+// hit reports zero. (A single Memory-wide snapshot would let B's hit erase
+// A's fault.)
+func TestClientLastFaultPerHandle(t *testing.T) {
+	mem, err := Open(WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mem.Close()
+	a, b := mem.Client(1), mem.Client(2)
+	if _, err := b.Get(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Get(500); err != nil { // never touched: a full miss
+		t.Fatal(err)
+	}
+	if _, err := b.Get(0); err != nil { // resident since B's first Get
+		t.Fatal(err)
+	}
+	total, serial := a.LastFault()
+	if total <= 0 || serial <= 0 || serial > total {
+		t.Fatalf("client A's miss reports (total %v, serial %v) after B's hit, want 0 < serial <= total", total, serial)
+	}
+	if total, serial := b.LastFault(); total != 0 || serial != 0 {
+		t.Fatalf("client B's resident hit reports (%v, %v), want (0, 0)", total, serial)
+	}
+}
+
 // TestMemoryUnalignedIO crosses page boundaries with both ReadAt and
 // WriteAt (read-modify-write of partially covered pages).
 func TestMemoryUnalignedIO(t *testing.T) {
@@ -92,7 +121,8 @@ func runScan(t *testing.T, pfName string, stride int64) MemoryStats {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem, err := Open(WithSeed(11), WithCacheCapacity(256), WithPrefetcher(pf), WithQueueDepth(8))
+	mem, err := Open(WithSeed(11), WithCacheCapacity(256),
+		WithPrefetcherFactory(func() Prefetcher { return pf }), WithQueueDepth(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +203,7 @@ func TestMemoryDeterminism(t *testing.T) {
 // hits (NoteHit feedback) and the predictor must have seen trends.
 func TestMemorySharedLeapPrefetcher(t *testing.T) {
 	lp := NewLeapPrefetcher(PredictorConfig{})
-	mem, err := Open(WithSeed(5), WithCacheCapacity(128), WithPrefetcher(lp))
+	mem, err := Open(WithSeed(5), WithCacheCapacity(128), WithPrefetcherFactory(func() Prefetcher { return lp }))
 	if err != nil {
 		t.Fatal(err)
 	}

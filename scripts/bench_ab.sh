@@ -47,5 +47,6 @@ run_bench . "$TMP/head.json"
 python3 scripts/bench_compare.py "$TMP/base.json" "$TMP/head.json" \
   --headline "$HEADLINE" \
   --zero-alloc BenchmarkMemoryGetHit \
+  --zero-alloc BenchmarkMemoryConcurrentGet \
   --zero-alloc BenchmarkMemoryGetZtierHit \
   --zero-alloc BenchmarkMemoryEnsembleGetHit
