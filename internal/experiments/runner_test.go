@@ -2,8 +2,44 @@ package experiments
 
 import "testing"
 
+func TestRunnerRegistryComplete(t *testing.T) {
+	want := []string{"1", "2", "3", "4", "table1", "7", "8a", "8b", "9", "10", "11", "12", "13", "resilience", "scaling", "elastic", "runtime", "selfheal", "concurrency", "ztier", "ensemble", "ablations"}
+	got := Figures()
+	if len(got) != len(want) {
+		t.Fatalf("Figures() = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Figures()[%d] = %q, want %q", i, got[i], want[i])
+		}
+	}
+}
+
 func TestRunFigureUnknown(t *testing.T) {
 	if _, ok := RunFigure("nope", Small, 1); ok {
 		t.Fatal("unknown figure accepted")
+	}
+}
+
+func TestParallelMatchesSequential(t *testing.T) {
+	// The whole point of the parallel runner: concurrency must not change a
+	// single output byte. Use a subset that exercises vmm, vfs and the
+	// static table.
+	names := []string{"1", "7", "9", "table1"}
+	seq := RunAll(names, Small, 42, 1)
+	par := RunAll(names, Small, 42, 4)
+	if len(seq) != len(names) || len(par) != len(names) {
+		t.Fatalf("result lengths: seq=%d par=%d want %d", len(seq), len(par), len(names))
+	}
+	for i := range names {
+		if seq[i].Name != names[i] || par[i].Name != names[i] {
+			t.Fatalf("position %d: names %q/%q, want %q", i, seq[i].Name, par[i].Name, names[i])
+		}
+		if seq[i].Output != par[i].Output {
+			t.Errorf("figure %s: parallel output differs from sequential", names[i])
+		}
+		if seq[i].Output == "" {
+			t.Errorf("figure %s: empty output", names[i])
+		}
 	}
 }
