@@ -18,10 +18,10 @@
 //	  little-endian back-reference offset (1..65535 into the output
 //	  produced so far) and the extended match length (code + 4).
 //
-// Compress is a pure function of its input: the match-finder table is
-// cleared per call, so equal pages compress to equal bytes regardless of
-// history — the property every byte-identity gate in this repository leans
-// on. Decompress rejects any malformed input (unknown mode, truncated
+// Compress is a pure function of its input: match-finder table entries are
+// tagged with a per-call epoch and anything older reads as empty, so equal
+// pages compress to equal bytes regardless of history — the property every
+// byte-identity gate in this repository leans on. Decompress rejects any malformed input (unknown mode, truncated
 // fields, out-of-range back-references, output beyond the caller's limit)
 // with an error, never a panic; FuzzZtierCodec drives hostile inputs
 // through it.
@@ -30,6 +30,8 @@ package ztier
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"math/bits"
 )
 
 const (
@@ -66,8 +68,14 @@ func MaxEncodedLen(n int) int { return n + 1 }
 // may run in parallel on their own inputs. Output depends only on the input
 // bytes — never on what was compressed before.
 type Compressor struct {
-	table [1 << hashBits]int32 // position+1 of the last occurrence per hash
-	buf   []byte               // retained LZ scratch between calls
+	// table holds base+position+1 of the last occurrence per hash. Entries
+	// <= base were written by earlier calls and read as empty, so the table
+	// never needs clearing between calls.
+	table [1 << hashBits]int32
+	// base is this call's epoch: it advances by len(src) per call and
+	// resets to 0, with a table clear, only when it would overflow int32.
+	base int32
+	buf  []byte // retained LZ scratch between calls
 }
 
 // Compress appends the encoded block for src to dst and returns the
@@ -86,31 +94,30 @@ func (c *Compressor) Compress(dst, src []byte) []byte {
 }
 
 // compressLZ greedily encodes src into the Compressor's scratch buffer and
-// reports whether the result beats the stored fallback. The hash table is
-// cleared up front so the encoding is a pure function of src.
+// reports whether the result beats the stored fallback. Table entries from
+// earlier calls sit at or below this call's base and read as empty, so the
+// encoding is a pure function of src.
 func (c *Compressor) compressLZ(src []byte) ([]byte, bool) {
-	clear(c.table[:])
+	if int(c.base) > math.MaxInt32-len(src) {
+		clear(c.table[:])
+		c.base = 0
+	}
+	// An entry holds bias+position, so this call's entries are > base.
+	bias := int(c.base) + 1
+	c.base += int32(len(src))
 	out := c.buf[:0]
 	// The LZ body must be strictly smaller than the stored body to win.
 	budget := len(src) - 1
 	anchor, pos := 0, 0
 	last := len(src) - minMatch
-	for pos <= last {
-		h := hash4(src[pos:])
-		cand := int(c.table[h]) - 1
-		c.table[h] = int32(pos + 1)
-		if cand < 0 || pos-cand > maxOffset ||
-			binary.LittleEndian.Uint32(src[cand:]) != binary.LittleEndian.Uint32(src[pos:]) {
-			pos++
-			continue
+	for {
+		var cand int
+		if pos, cand = c.nextMatch(src, pos, last, bias); pos > last {
+			break
 		}
-		mlen := minMatch
-		for pos+mlen < len(src) && src[cand+mlen] == src[pos+mlen] {
-			mlen++
-		}
+		mlen := extendMatch(src, cand, pos)
 		var ok bool
-		out, ok = emitSeq(out, src[anchor:pos], pos-cand, mlen, budget)
-		if !ok {
+		if out, ok = emitSeq(out, src[anchor:pos], pos-cand, mlen, budget); !ok {
 			c.buf = out
 			return nil, false
 		}
@@ -127,6 +134,46 @@ func (c *Compressor) compressLZ(src []byte) ([]byte, bool) {
 	}
 	c.buf = out
 	return out, true
+}
+
+// nextMatch records every position from pos on in the match-finder table
+// until one matches the first minMatch bytes of an earlier position within
+// maxOffset, and returns that position and its candidate. It returns a
+// position past last when src holds no further match. It stays out of
+// line: inlined into compressLZ, the per-position loop spills pos to the
+// stack around the emitSeq call and scans incompressible pages slower.
+//
+//go:noinline
+func (c *Compressor) nextMatch(src []byte, pos, last, bias int) (int, int) {
+	table := &c.table
+	for ; pos <= last; pos++ {
+		cur := binary.LittleEndian.Uint32(src[pos:])
+		h := hash4(cur)
+		cand := int(table[h]) - bias
+		table[h] = int32(pos + bias)
+		if cand >= 0 && pos-cand <= maxOffset && binary.LittleEndian.Uint32(src[cand:]) == cur {
+			return pos, cand
+		}
+	}
+	return pos, 0
+}
+
+// extendMatch returns the length of the match at pos against the earlier
+// cand, whose first minMatch bytes are known equal. It compares 8 bytes per
+// step — the first differing byte is the lowest set byte of the XOR — and
+// finishes the last few bytes of src one at a time.
+func extendMatch(src []byte, cand, pos int) int {
+	n := minMatch
+	for pos+n+8 <= len(src) {
+		if x := binary.LittleEndian.Uint64(src[pos+n:]) ^ binary.LittleEndian.Uint64(src[cand+n:]); x != 0 {
+			return n + bits.TrailingZeros64(x)>>3
+		}
+		n += 8
+	}
+	for pos+n < len(src) && src[cand+n] == src[pos+n] {
+		n++
+	}
+	return n
 }
 
 // emitSeq appends one token sequence — literals, then an optional match
@@ -181,9 +228,9 @@ func appendExt(out []byte, v int) []byte {
 	return append(out, byte(v))
 }
 
-// hash4 hashes the 4 bytes at b[0:4] into the match-finder table index.
-func hash4(b []byte) uint32 {
-	return (binary.LittleEndian.Uint32(b) * 2654435761) >> (32 - hashBits)
+// hash4 hashes 4 little-endian bytes into the match-finder table index.
+func hash4(u uint32) uint32 {
+	return (u * 2654435761) >> (32 - hashBits)
 }
 
 // Decompress appends the block src's decoded bytes to dst and returns the
@@ -220,8 +267,10 @@ func decompressLZ(dst, body []byte, limit int) ([]byte, error) {
 		body = body[1:]
 		litLen := int(token >> 4)
 		var err error
-		if litLen, body, err = readExt(litLen, body); err != nil {
-			return nil, err
+		if litLen == extNibble {
+			if litLen, body, err = readExt(litLen, body); err != nil {
+				return nil, err
+			}
 		}
 		if litLen > len(body) {
 			return nil, fmt.Errorf("ztier: literal run of %dB truncated at %dB", litLen, len(body))
@@ -248,27 +297,41 @@ func decompressLZ(dst, body []byte, limit int) ([]byte, error) {
 			return nil, fmt.Errorf("ztier: back-reference offset %d outside %dB of output", off, len(dst)-base)
 		}
 		mlen := int(token & 0x0F)
-		if mlen, body, err = readExt(mlen, body); err != nil {
-			return nil, err
+		if mlen == extNibble {
+			if mlen, body, err = readExt(mlen, body); err != nil {
+				return nil, err
+			}
 		}
 		mlen += minMatch
 		if len(dst)-base+mlen > limit {
 			return nil, fmt.Errorf("ztier: decoded size exceeds limit %d", limit)
 		}
-		// Byte-at-a-time: matches may overlap their own output (RLE-style).
-		for range mlen {
-			dst = append(dst, dst[len(dst)-off])
-		}
+		dst = appendMatch(dst, off, mlen)
 	}
 	return dst, nil
 }
 
-// readExt extends a length nibble with continuation bytes when it is
-// extNibble; otherwise it passes the nibble through.
-func readExt(n int, body []byte) (int, []byte, error) {
-	if n != extNibble {
-		return n, body, nil
+// appendMatch appends the mlen-byte back-reference that starts off bytes
+// before the end of dst. A match that does not overlap its own output is
+// one copy. One that does (off < mlen, RLE-style) repeats its first off
+// bytes, so it is copied in whole periods from its start: each copy
+// doubles what is available, and the last copy may end mid-period.
+func appendMatch(dst []byte, off, mlen int) []byte {
+	start := len(dst) - off
+	if off >= mlen {
+		return append(dst, dst[start:start+mlen]...)
 	}
+	for mlen > 0 {
+		n := min(len(dst)-start, mlen)
+		dst = append(dst, dst[start:start+n]...)
+		mlen -= n
+	}
+	return dst
+}
+
+// readExt extends a length nibble of extNibble with its continuation
+// bytes: each adds its value, and 255 continues.
+func readExt(n int, body []byte) (int, []byte, error) {
 	for {
 		if len(body) == 0 {
 			return 0, nil, fmt.Errorf("ztier: truncated length extension")

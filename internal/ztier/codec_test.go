@@ -2,6 +2,7 @@ package ztier
 
 import (
 	"bytes"
+	"math"
 	"testing"
 )
 
@@ -114,12 +115,12 @@ func TestDecompressRejectsCorruptInput(t *testing.T) {
 		"empty":            {},
 		"unknown mode":     {0x7F, 1, 2, 3},
 		"truncated":        enc[:len(enc)/2],
-		"offset zero":      {modeLZ, 0x04, 0x00, 0x00, 0x00},       // match before any output
-		"offset too far":   {modeLZ, 0x14, 'a', 0x09, 0x00},        // 1 literal, offset 9
-		"dangling match":   {modeLZ, 0x11},                         // stream ends inside a match
-		"truncated offset": {modeLZ, 0x11, 0x01},                   // 1 offset byte of 2
-		"length ext EOF":   {modeLZ, 0xF0},                         // literal ext never terminates
-		"literal overrun":  {modeLZ, 0x50, 'a', 'b'},               // 5 literals, 2 present
+		"offset zero":      {modeLZ, 0x04, 0x00, 0x00, 0x00}, // match before any output
+		"offset too far":   {modeLZ, 0x14, 'a', 0x09, 0x00},  // 1 literal, offset 9
+		"dangling match":   {modeLZ, 0x11},                   // stream ends inside a match
+		"truncated offset": {modeLZ, 0x11, 0x01},             // 1 offset byte of 2
+		"length ext EOF":   {modeLZ, 0xF0},                   // literal ext never terminates
+		"literal overrun":  {modeLZ, 0x50, 'a', 'b'},         // 5 literals, 2 present
 	}
 	for name, in := range cases {
 		if _, err := Decompress(nil, in, 4096); err == nil {
@@ -153,18 +154,100 @@ func TestDecompressHonorsLimit(t *testing.T) {
 }
 
 // TestDecompressZeroAlloc pins the unseal fast path: decoding into a
-// buffer with enough capacity must not allocate.
+// buffer with enough capacity must not allocate, whether the block's
+// matches are plain copies or overlap their own output.
 func TestDecompressZeroAlloc(t *testing.T) {
 	var c Compressor
-	enc := c.Compress(nil, semiPage(5))
-	dst := make([]byte, 0, 4096)
-	allocs := testing.AllocsPerRun(100, func() {
-		out, err := Decompress(dst[:0], enc, 4096)
-		if err != nil || len(out) != 4096 {
-			t.Fatal("decode failed")
+	for name, page := range map[string][]byte{"semi": semiPage(5), "overlapping": periodPage(3)} {
+		enc := c.Compress(nil, page)
+		dst := make([]byte, 0, 4096)
+		allocs := testing.AllocsPerRun(100, func() {
+			out, err := Decompress(dst[:0], enc, 4096)
+			if err != nil || len(out) != 4096 {
+				t.Fatal("decode failed")
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: Decompress into sized buffer allocated %.1f times/op", name, allocs)
 		}
+	}
+}
+
+// TestCompressZeroAlloc pins the seal path: after one warm call sizes the
+// Compressor's scratch, compressing into a dst with enough capacity must
+// not allocate.
+func TestCompressZeroAlloc(t *testing.T) {
+	var c Compressor
+	page := kvPage(2)
+	dst := make([]byte, 0, MaxEncodedLen(len(page)))
+	c.Compress(dst[:0], page)
+	allocs := testing.AllocsPerRun(100, func() {
+		dst = c.Compress(dst[:0], page)
 	})
 	if allocs != 0 {
-		t.Fatalf("Decompress into sized buffer allocated %.1f times/op", allocs)
+		t.Fatalf("Compress into sized buffer allocated %.1f times/op", allocs)
+	}
+}
+
+// TestDecompressLongOverlappingMatch decodes hand-built RLE blocks: a
+// literal period of 1–3 bytes, then one back-reference at that offset whose
+// length needs extension bytes, so the match overlaps its own output for
+// hundreds of bytes.
+func TestDecompressLongOverlappingMatch(t *testing.T) {
+	for off := 1; off <= 3; off++ {
+		for _, mlen := range []int{300, 4096 - off} {
+			period := []byte("xyz")[:off]
+			block, ok := emitSeq([]byte{modeLZ}, period, off, mlen, 1<<20)
+			if !ok {
+				t.Fatal("emitSeq refused the sequence")
+			}
+			want := bytes.Repeat(period, (off+mlen)/off+1)[:off+mlen]
+			got, err := Decompress([]byte("prefix"), block, len(want))
+			if err != nil {
+				t.Fatalf("off %d mlen %d: %v", off, mlen, err)
+			}
+			if !bytes.Equal(got[:6], []byte("prefix")) || !bytes.Equal(got[6:], want) {
+				t.Fatalf("off %d mlen %d: decoded bytes differ", off, mlen)
+			}
+		}
+	}
+}
+
+// TestDecompressRejectsReferenceIntoPrefix: back-references index only the
+// output this call produced, never the bytes dst already held.
+func TestDecompressRejectsReferenceIntoPrefix(t *testing.T) {
+	prefix := []byte("0123456789")
+	reach := []byte{modeLZ, 0x24, 'a', 'b', 0x03, 0x00} // 2 literals, offset 3
+	if _, err := Decompress(prefix, reach, 4096); err == nil {
+		t.Fatal("back-reference into the dst prefix decoded")
+	}
+	exact := []byte{modeLZ, 0x24, 'a', 'b', 0x02, 0x00} // offset 2: the output start
+	got, err := Decompress(prefix, exact, 4096)
+	if err != nil {
+		t.Fatalf("back-reference to the output start rejected: %v", err)
+	}
+	if want := "0123456789ababababab"; string(got) != want {
+		t.Fatalf("decoded %q, want %q", got, want)
+	}
+}
+
+// TestCompressorEpochWrap drives the match-finder's epoch to the int32 edge:
+// the call that would overflow it clears the table and restarts, and every
+// output still matches a fresh Compressor's.
+func TestCompressorEpochWrap(t *testing.T) {
+	poison := make([]byte, 4096)
+	lcgFill(poison, 11)
+	var used Compressor
+	used.Compress(nil, semiPage(6))
+	used.base = math.MaxInt32 - 6000
+	for i, page := range [][]byte{poison, semiPage(7), kvPage(3), semiPage(7)} {
+		var fresh Compressor
+		want := fresh.Compress(nil, page)
+		if got := used.Compress(nil, page); !bytes.Equal(got, want) {
+			t.Fatalf("call %d (base %d): output differs from a fresh Compressor", i, used.base)
+		}
+	}
+	if used.base >= math.MaxInt32-6000 {
+		t.Fatalf("base %d never wrapped", used.base)
 	}
 }

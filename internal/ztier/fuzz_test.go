@@ -17,6 +17,12 @@ func FuzzZtierCodec(f *testing.F) {
 	f.Add([]byte{modeStored, 1, 2, 3})
 	f.Add([]byte{modeLZ, 0x10, 'a'})
 	f.Add([]byte{modeLZ, 0x14, 'a', 0x01, 0x00}) // 1 literal + RLE match
+	// 2 literals + an overlapping offset-2 match of 15+255+255+16+4 bytes.
+	f.Add([]byte{modeLZ, 0x2F, 'a', 'b', 0x02, 0x00, 0xFF, 0xFF, 0x10})
+	// 3 literals + a back-reference to exactly the output start, then one
+	// reaching a byte before it.
+	f.Add([]byte{modeLZ, 0x34, 'a', 'b', 'c', 0x03, 0x00})
+	f.Add([]byte{modeLZ, 0x34, 'a', 'b', 'c', 0x04, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var c Compressor
 
