@@ -21,10 +21,10 @@
 // Compress is a pure function of its input: match-finder table entries are
 // tagged with a per-call epoch and anything older reads as empty, so equal
 // pages compress to equal bytes regardless of history — the property every
-// byte-identity gate in this repository leans on. Decompress rejects any malformed input (unknown mode, truncated
-// fields, out-of-range back-references, output beyond the caller's limit)
-// with an error, never a panic; FuzzZtierCodec drives hostile inputs
-// through it.
+// byte-identity gate in this repository leans on. Decompress rejects any
+// malformed input (unknown mode, truncated fields, out-of-range
+// back-references, output beyond the caller's limit) with an error, never a
+// panic; FuzzZtierCodec drives hostile inputs through it.
 package ztier
 
 import (
@@ -117,7 +117,8 @@ func (c *Compressor) compressLZ(src []byte) ([]byte, bool) {
 		}
 		mlen := extendMatch(src, cand, pos)
 		var ok bool
-		if out, ok = emitSeq(out, src[anchor:pos], pos-cand, mlen, budget); !ok {
+		out, ok = emitSeq(out, src[anchor:pos], pos-cand, mlen, budget)
+		if !ok {
 			c.buf = out
 			return nil, false
 		}

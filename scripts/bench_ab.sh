@@ -21,13 +21,16 @@ cd "$(dirname "$0")/.."
 BASE_REF="${BENCH_AB_BASE:-HEAD~1}"
 BENCHTIME="${BENCH_AB_TIME:-1s}"
 COUNT="${BENCH_AB_COUNT:-3}"
-# The gated hot paths only — figure drivers are too noisy to A/B.
-PATTERN='BenchmarkSimulatorThroughput|BenchmarkPredictorFaultPath|BenchmarkMemoryGetHit|BenchmarkMemoryConcurrentGet|BenchmarkMemoryGetZtierHit|BenchmarkMemoryEnsembleGetHit'
-HEADLINE='BenchmarkSimulatorThroughput,BenchmarkPredictorFaultPath,BenchmarkMemoryGetHit,BenchmarkMemoryConcurrentGet,BenchmarkMemoryGetHitParallel/procs=8,BenchmarkMemoryGetZtierHit,BenchmarkMemoryEnsembleGetHit'
+# The gated hot paths only — figure drivers are too noisy to A/B. PACKAGES
+# holds the end-to-end benchmarks (root) and the per-layer ones.
+PACKAGES='. ./internal/ztier'
+PATTERN='BenchmarkSimulatorThroughput|BenchmarkPredictorFaultPath|BenchmarkMemoryGetHit|BenchmarkMemoryConcurrentGet|BenchmarkMemoryGetZtierHit|BenchmarkMemoryEnsembleGetHit|BenchmarkCompress|BenchmarkDecompress'
+HEADLINE='BenchmarkSimulatorThroughput,BenchmarkPredictorFaultPath,BenchmarkMemoryGetHit,BenchmarkMemoryConcurrentGet,BenchmarkMemoryGetHitParallel/procs=8,BenchmarkMemoryGetZtierHit,BenchmarkMemoryEnsembleGetHit,BenchmarkCompress/semi,BenchmarkCompress/kv,BenchmarkCompress/stored,BenchmarkDecompress/semi,BenchmarkDecompress/kv,BenchmarkDecompress/stored'
 
 run_bench() { # $1 = source dir, $2 = output json
+  # shellcheck disable=SC2086 # PACKAGES is a word list
   (cd "$1" && go test -run '^$' -benchmem -count "$COUNT" -benchtime "$BENCHTIME" \
-    -bench "$PATTERN" .) | python3 scripts/bench2json.py > "$2"
+    -bench "$PATTERN" $PACKAGES) | python3 scripts/bench2json.py > "$2"
 }
 
 TMP="$(mktemp -d)"
@@ -49,4 +52,6 @@ python3 scripts/bench_compare.py "$TMP/base.json" "$TMP/head.json" \
   --zero-alloc BenchmarkMemoryGetHit \
   --zero-alloc BenchmarkMemoryConcurrentGet \
   --zero-alloc BenchmarkMemoryGetZtierHit \
-  --zero-alloc BenchmarkMemoryEnsembleGetHit
+  --zero-alloc BenchmarkMemoryEnsembleGetHit \
+  --zero-alloc BenchmarkCompress \
+  --zero-alloc BenchmarkDecompress
