@@ -158,8 +158,8 @@ func TestDecompressHonorsLimit(t *testing.T) {
 // matches are plain copies or overlap their own output.
 func TestDecompressZeroAlloc(t *testing.T) {
 	var c Compressor
-	for name, page := range map[string][]byte{"semi": semiPage(5), "overlapping": periodPage(3)} {
-		enc := c.Compress(nil, page)
+	for _, in := range []namedInput{{"semi", semiPage(5)}, {"overlapping", periodPage(3)}} {
+		enc := c.Compress(nil, in.src)
 		dst := make([]byte, 0, 4096)
 		allocs := testing.AllocsPerRun(100, func() {
 			out, err := Decompress(dst[:0], enc, 4096)
@@ -168,7 +168,7 @@ func TestDecompressZeroAlloc(t *testing.T) {
 			}
 		})
 		if allocs != 0 {
-			t.Fatalf("%s: Decompress into sized buffer allocated %.1f times/op", name, allocs)
+			t.Fatalf("%s: Decompress into sized buffer allocated %.1f times/op", in.name, allocs)
 		}
 	}
 }

@@ -54,15 +54,15 @@ func textOf(n int) []byte {
 	return bytes.Repeat([]byte("abc abd "), n/8+1)[:n]
 }
 
-// codecCorpus is the fixed input set whose encodings codec.golden pins.
-func codecCorpus() []struct {
+// namedInput is one named codec input.
+type namedInput struct {
 	name string
 	src  []byte
-} {
-	type in = struct {
-		name string
-		src  []byte
-	}
+}
+
+// codecCorpus is the fixed input set whose encodings codec.golden pins.
+func codecCorpus() []namedInput {
+	type in = namedInput
 	c := []in{{"empty", nil}}
 	for _, n := range []int{1, 15, 16, 17, 4097} {
 		c = append(c, in{fmt.Sprintf("text-%d", n), textOf(n)})
