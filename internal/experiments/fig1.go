@@ -64,9 +64,9 @@ func Fig1(s Scale, seed uint64) Fig1Result {
 	const n = 20000
 	for i := 0; i < n; i++ {
 		now := sim.Time(i) * sim.Time(sim.Millisecond)
-		hddSum += hdd.Read(i, now, 0, 10).Sub(now)
-		ssdSum += ssd.Read(i, now, 0, 10).Sub(now)
-		rdmaSum += rm.Read(i, now, 0, 10).Sub(now)
+		hddSum += hdd.Read(i, now, 10).Sub(now)
+		ssdSum += ssd.Read(i, now, 10).Sub(now)
+		rdmaSum += rm.Read(i, now, 10).Sub(now)
 	}
 	r.HDD = hddSum / n
 	r.SSD = ssdSum / n

@@ -28,6 +28,8 @@
 package paging
 
 import (
+	"slices"
+
 	"leap/internal/core"
 	"leap/internal/datapath"
 	"leap/internal/eventq"
@@ -109,10 +111,8 @@ type Engine[O any] struct {
 	batchDev   storage.BatchDevice
 	qdepth     int
 	batchPages []core.PageID
-	batchDists []int64
 	batchDone  []sim.Time
-	wbPages    []core.PageID
-	wbDists    []int64
+	wbPending  int
 
 	// resFree is a free list of resEntry nodes (linked through next), so the
 	// map-in/evict churn of the fault path stops allocating.
@@ -327,7 +327,7 @@ func (e *Engine[O]) Fault(pid prefetch.PID, cpu int, page core.PageID, now sim.T
 		dist := int64(page - e.lastDevPage)
 		e.lastDevPage = page
 		submit := now.Add(b.Total())
-		done := e.dev.Read(cpu, submit, page, dist)
+		done := e.dev.Read(cpu, submit, dist)
 		alloc := e.cache.AllocLatency()
 		latency = b.Total() + done.Sub(submit) + alloc
 		e.LastFaultSerial = b.Total() + alloc
@@ -375,8 +375,12 @@ func (e *Engine[O]) OnAccess(o O, res *Resident, pid prefetch.PID, cpu int, page
 // SequentialHintWindow pages after the fault, clamped below hintEnd
 // (exclusive); HintRandom discards them and issues nothing. HintNone is
 // byte-identical to OnAccess.
+//
+// The faulting page itself is dropped from the window: the owner maps it in
+// only after this call, so the residency filters cannot see it yet.
 func (e *Engine[O]) OnAccessHinted(o O, res *Resident, pid prefetch.PID, cpu int, page core.PageID, miss bool, now sim.Time, hint Hint, hintEnd core.PageID) {
 	e.candBuf = e.pf.OnAccess(pid, page, miss, e.candBuf[:0])
+	e.candBuf = slices.DeleteFunc(e.candBuf, func(c core.PageID) bool { return c == page })
 	switch hint {
 	case HintRandom:
 		e.candBuf = e.candBuf[:0]
@@ -413,27 +417,12 @@ func (e *Engine[O]) issuePrefetches(o O, res *Resident, cpu int, cands []core.Pa
 	}
 	e.issuedBuf = e.issuedBuf[:0]
 	for _, c := range cands {
-		if res.Contains(c) {
-			continue
-		}
-		if e.cache.Contains(c) {
-			continue
-		}
-		if e.inflight.Contains(c) {
-			continue
-		}
-		if e.blocked.Len() > 0 && e.blocked.Contains(c) {
-			continue
-		}
-		if e.ztier != nil && e.ztier(c) {
-			continue
-		}
-		if e.Owns != nil && !e.Owns(c) {
+		if !e.needsFetch(res, c) {
 			continue
 		}
 		dist := int64(c - e.lastDevPage)
 		e.lastDevPage = c
-		done := e.dev.Read(cpu, now, c, dist)
+		done := e.dev.Read(cpu, now, dist)
 		e.inflight.Put(c, done)
 		e.inflights.Push(arrival[O]{page: c, at: done, who: o})
 		if e.OnIssue != nil {
@@ -448,34 +437,34 @@ func (e *Engine[O]) issuePrefetches(o O, res *Resident, cpu int, cands []core.Pa
 	}
 }
 
+// needsFetch reports whether candidate c is worth a device read: it is not
+// resident, cached, in flight, blocked, sealed in the compressed tier or
+// another owner's page.
+func (e *Engine[O]) needsFetch(res *Resident, c core.PageID) bool {
+	return !res.Contains(c) && !e.cache.Contains(c) && !e.inflight.Contains(c) &&
+		(e.blocked.Len() == 0 || !e.blocked.Contains(c)) &&
+		(e.ztier == nil || !e.ztier(c)) &&
+		(e.Owns == nil || e.Owns(c))
+}
+
 // issuePrefetchBatches is the doorbell path: the deduplicated candidates go
 // to the device in chunks of up to qdepth pages, so a prefetch window costs
 // one submission (and one fabric round-trip draw) per chunk instead of one
-// per page — the fan-out overlap the async remote engine exists for.
+// per page — the fan-out overlap the async remote engine exists for. A
+// candidate repeated within the window is taken once: the in-flight filter
+// only sees it after its chunk is submitted.
 func (e *Engine[O]) issuePrefetchBatches(o O, res *Resident, cpu int, cands []core.PageID, now sim.Time) {
 	e.batchPages = e.batchPages[:0]
-	e.batchDists = e.batchDists[:0]
 	for _, c := range cands {
-		if res.Contains(c) || e.cache.Contains(c) || e.inflight.Contains(c) {
-			continue
-		}
-		if e.blocked.Len() > 0 && e.blocked.Contains(c) {
-			continue
-		}
-		if e.ztier != nil && e.ztier(c) {
-			continue
-		}
-		if e.Owns != nil && !e.Owns(c) {
+		if !e.needsFetch(res, c) || slices.Contains(e.batchPages, c) {
 			continue
 		}
 		e.batchPages = append(e.batchPages, c)
-		e.batchDists = append(e.batchDists, int64(c-e.lastDevPage))
 		e.lastDevPage = c
 	}
 	for lo := 0; lo < len(e.batchPages); lo += e.qdepth {
 		hi := min(lo+e.qdepth, len(e.batchPages))
-		e.batchDone = e.batchDev.ReadBatch(cpu, now,
-			e.batchPages[lo:hi], e.batchDists[lo:hi], e.batchDone)
+		e.batchDone = e.batchDev.ReadBatch(cpu, now, hi-lo, e.batchDone)
 		for i, c := range e.batchPages[lo:hi] {
 			done := e.batchDone[i]
 			e.inflight.Put(c, done)
@@ -560,7 +549,7 @@ func (e *Engine[O]) MapIn(o O, res *Resident, cpu int, page core.PageID, now sim
 		// submission per page. A victim the owner absorbed locally (sealed
 		// into the compressed tier) skips the charge — no bytes traveled.
 		if writeback {
-			e.QueueWriteback(cpu, victim.page, now)
+			e.QueueWriteback(cpu, now)
 		}
 		e.freeResEntry(victim)
 		if e.recording {
@@ -575,27 +564,25 @@ func (e *Engine[O]) MapIn(o O, res *Resident, cpu int, page core.PageID, now sim
 // dirty backlog, otherwise it pays an individual submission. The compressed
 // tier uses it when a sealed victim overflows to the backing store for
 // real.
-func (e *Engine[O]) QueueWriteback(cpu int, page core.PageID, now sim.Time) {
+func (e *Engine[O]) QueueWriteback(cpu int, now sim.Time) {
 	if e.batchDev != nil {
-		e.wbPages = append(e.wbPages, page)
-		e.wbDists = append(e.wbDists, 1)
-		if len(e.wbPages) >= e.qdepth {
+		e.wbPending++
+		if e.wbPending >= e.qdepth {
 			e.FlushWriteback(cpu, now)
 		}
 	} else {
-		e.dev.Write(cpu, now, page, 1)
+		e.dev.Write(cpu, now)
 	}
 }
 
 // FlushWriteback drains the eviction backlog as one doorbell. It is a no-op
 // when the backlog is empty or the engine is unbatched.
 func (e *Engine[O]) FlushWriteback(cpu int, now sim.Time) {
-	if len(e.wbPages) == 0 {
+	if e.wbPending == 0 {
 		return
 	}
-	e.batchDone = e.batchDev.WriteBatch(cpu, now, e.wbPages, e.wbDists, e.batchDone)
-	e.wbPages = e.wbPages[:0]
-	e.wbDists = e.wbDists[:0]
+	e.batchDone = e.batchDev.WriteBatch(cpu, now, e.wbPending, e.batchDone)
+	e.wbPending = 0
 }
 
 // newResEntry takes a node off the free list, or allocates when it is empty.

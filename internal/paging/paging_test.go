@@ -1,6 +1,8 @@
 package paging
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"leap/internal/core"
@@ -108,25 +110,46 @@ func TestFaultPathsAndCounters(t *testing.T) {
 }
 
 func TestOnIssueDedupes(t *testing.T) {
-	pf := &stubPrefetcher{window: []core.PageID{5, 6, 7}}
-	e := newTestEngine(pf)
-	r := NewResident(8)
-	r.Limit = 64
-	var issued [][]core.PageID
-	e.OnIssue = func(_ int, pages []core.PageID) {
-		cp := make([]core.PageID, len(pages))
-		copy(cp, pages)
-		issued = append(issued, cp)
-	}
-	e.MapIn(0, r, 0, 6, 0) // 6 already resident
-	e.OnAccess(0, r, 0, 0, 1, true, 0)
-	if len(issued) != 1 || len(issued[0]) != 2 {
-		t.Fatalf("issued = %v, want one batch of {5,7}", issued)
-	}
-	// Same window again: everything is in flight now — no hook call.
-	e.OnAccess(0, r, 0, 0, 2, true, 0)
-	if len(issued) != 1 {
-		t.Fatalf("in-flight pages re-issued: %v", issued)
+	for _, depth := range []int{1, 8} {
+		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
+			pf := &stubPrefetcher{window: []core.PageID{5, 6, 7}}
+			e := New[int](Config{Prefetcher: pf, QueueDepth: depth, Seed: 7})
+			r := NewResident(8)
+			r.Limit = 64
+			var issued [][]core.PageID
+			e.OnIssue = func(_ int, pages []core.PageID) {
+				issued = append(issued, slices.Clone(pages))
+			}
+			e.MapIn(0, r, 0, 6, 0) // 6 already resident
+			e.OnAccess(0, r, 0, 0, 1, true, 0)
+			if len(issued) != 1 || !slices.Equal(issued[0], []core.PageID{5, 7}) {
+				t.Fatalf("issued = %v, want one batch of {5,7}", issued)
+			}
+			// Same window again: everything is in flight now — no hook call.
+			e.OnAccess(0, r, 0, 0, 2, true, 0)
+			if len(issued) != 1 {
+				t.Fatalf("in-flight pages re-issued: %v", issued)
+			}
+
+			// A window naming the faulting page and repeating a candidate:
+			// the faulting page is about to be mapped in, and the repeat is
+			// one page, so only 16 goes out.
+			pf.window = []core.PageID{15, 16, 16}
+			issued = nil
+			before := e.Counters.Get("prefetch_issued")
+			e.OnAccess(0, r, 0, 0, 15, true, 0)
+			e.MapIn(0, r, 0, 15, 0)
+			if len(issued) != 1 || !slices.Equal(issued[0], []core.PageID{16}) {
+				t.Fatalf("issued = %v, want one batch of {16}", issued)
+			}
+			if got := e.Counters.Get("prefetch_issued") - before; got != 1 {
+				t.Fatalf("prefetch_issued rose by %d, want 1", got)
+			}
+			e.FlushArrivals(sim.Time(sim.Second))
+			if e.Cache().Contains(15) {
+				t.Fatal("faulting page landed in the cache while resident")
+			}
+		})
 	}
 }
 

@@ -24,7 +24,7 @@ type GHB struct {
 	// only adapts once a window is actually out (outstanding > 0), so a
 	// cold buffer neither grows nor decays.
 	outstanding int
-	hits        map[PID]int
+	hits        hitCounts
 
 	buf  []int64 // circular delta history
 	link []int   // per-entry pointer to the previous occurrence of its key
@@ -63,7 +63,6 @@ func NewGHB(depth int) *GHB {
 	return &GHB{
 		maxDepth: depth,
 		depth:    depth,
-		hits:     make(map[PID]int),
 		buf:      make([]int64, ghbBufferSize),
 		link:     make([]int, ghbBufferSize),
 		gen:      make([]int64, ghbBufferSize),
@@ -131,7 +130,7 @@ func (p *GHB) OnAccess(pid PID, page PageID, miss bool, dst []PageID) []PageID {
 	// window is actually outstanding, so teaching a cold buffer leaves the
 	// depth untouched.
 	if p.outstanding > 0 {
-		if p.hits[pid] > 0 {
+		if p.hits.take(pid) > 0 {
 			p.depth *= 2
 			if p.depth > p.maxDepth {
 				p.depth = p.maxDepth
@@ -139,7 +138,6 @@ func (p *GHB) OnAccess(pid PID, page PageID, miss bool, dst []PageID) []PageID {
 		} else if p.depth > 1 {
 			p.depth /= 2
 		}
-		p.hits[pid] = 0
 		p.outstanding = 0
 	}
 
@@ -177,7 +175,7 @@ func (p *GHB) OnAccess(pid PID, page PageID, miss bool, dst []PageID) []PageID {
 // OnPrefetchHit implements Prefetcher: classic GHB has no hit feedback,
 // but the paging setting supplies it for free, and without it the replay
 // depth cannot adapt. Credit goes to the consuming client.
-func (p *GHB) OnPrefetchHit(pid PID) { p.hits[pid]++ }
+func (p *GHB) OnPrefetchHit(pid PID) { p.hits.note(pid) }
 
 // Reset implements Prefetcher.
 func (p *GHB) Reset() {

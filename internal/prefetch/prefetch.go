@@ -98,6 +98,28 @@ func init() {
 	Register("leap", func() Prefetcher { return NewLeap(core.Config{}) })
 }
 
+// hitCounts is per-client prefetch-hit feedback for the baselines that
+// adapt their window: OnPrefetchHit notes a hit for the consuming client,
+// and that client's next issuing fault takes and clears the count, so
+// interleaved tenants cannot steer each other's window. The zero value is
+// ready to use.
+type hitCounts struct{ m map[PID]int }
+
+// note credits one consumed prefetch to pid.
+func (h *hitCounts) note(pid PID) {
+	if h.m == nil {
+		h.m = make(map[PID]int)
+	}
+	h.m[pid]++
+}
+
+// take returns pid's hits since its last take and clears them.
+func (h *hitCounts) take(pid PID) int {
+	n := h.m[pid]
+	delete(h.m, pid)
+	return n
+}
+
 // None never prefetches.
 type None struct{}
 

@@ -19,7 +19,7 @@ type ReadAhead struct {
 	lastAddr PageID
 	hasLast  bool
 	window   int
-	hits     map[PID]int
+	hits     hitCounts
 }
 
 // NewReadAhead returns a read-ahead prefetcher with the given maximum
@@ -29,7 +29,7 @@ func NewReadAhead(maxWindow int) *ReadAhead {
 	if maxWindow < 2 {
 		maxWindow = 2
 	}
-	return &ReadAhead{maxWindow: maxWindow, window: maxWindow, hits: make(map[PID]int)}
+	return &ReadAhead{maxWindow: maxWindow, window: maxWindow}
 }
 
 // Name implements Prefetcher. The sequentiality test tracks every swap-in;
@@ -50,8 +50,9 @@ func (p *ReadAhead) OnAccess(pid PID, page PageID, miss bool, dst []PageID) []Pa
 	// so a single interruption (noise, another process, a stride) collapses
 	// the window even mid-scan. The hits consulted are the faulting
 	// client's own.
+	hit := p.hits.take(pid) > 0
 	switch {
-	case sequential && p.hits[pid] > 0:
+	case sequential && hit:
 		p.window *= 2
 	case sequential:
 		// Hold.
@@ -64,7 +65,6 @@ func (p *ReadAhead) OnAccess(pid PID, page PageID, miss bool, dst []PageID) []Pa
 	if p.window < 2 {
 		p.window = 2 // the cluster read never fully stops
 	}
-	p.hits[pid] = 0
 
 	// Aligned block of `window` pages containing the faulted page.
 	start := page - page%PageID(p.window)
@@ -78,9 +78,9 @@ func (p *ReadAhead) OnAccess(pid PID, page PageID, miss bool, dst []PageID) []Pa
 
 // OnPrefetchHit implements Prefetcher: the consuming client gets the
 // credit, so interleaved tenants cannot grow each other's window.
-func (p *ReadAhead) OnPrefetchHit(pid PID) { p.hits[pid]++ }
+func (p *ReadAhead) OnPrefetchHit(pid PID) { p.hits.note(pid) }
 
 // Reset implements Prefetcher.
 func (p *ReadAhead) Reset() {
-	*p = ReadAhead{maxWindow: p.maxWindow, window: p.maxWindow, hits: make(map[PID]int)}
+	*p = ReadAhead{maxWindow: p.maxWindow, window: p.maxWindow}
 }

@@ -23,7 +23,7 @@ type Stride struct {
 	stride   int64
 
 	depth int
-	hits  map[PID]int
+	hits  hitCounts
 }
 
 // NewStride returns a stride prefetcher with the given maximum depth (the
@@ -32,7 +32,7 @@ func NewStride(maxDepth int) *Stride {
 	if maxDepth < 1 {
 		maxDepth = 1
 	}
-	return &Stride{maxDepth: maxDepth, depth: 1, hits: make(map[PID]int)}
+	return &Stride{maxDepth: maxDepth, depth: 1}
 }
 
 // Name implements Prefetcher.
@@ -57,7 +57,7 @@ func (p *Stride) OnAccess(pid PID, page PageID, miss bool, dst []PageID) []PageI
 	}
 
 	// Adapt depth to the faulting client's feedback since its last issue.
-	if p.hits[pid] > 0 {
+	if p.hits.take(pid) > 0 {
 		p.depth *= 2
 		if p.depth > p.maxDepth {
 			p.depth = p.maxDepth
@@ -65,7 +65,6 @@ func (p *Stride) OnAccess(pid PID, page PageID, miss bool, dst []PageID) []PageI
 	} else if p.depth > 1 {
 		p.depth /= 2
 	}
-	p.hits[pid] = 0
 
 	for k := 1; k <= p.depth; k++ {
 		c := page + PageID(int64(k)*p.stride)
@@ -79,9 +78,9 @@ func (p *Stride) OnAccess(pid PID, page PageID, miss bool, dst []PageID) []PageI
 
 // OnPrefetchHit implements Prefetcher: the consuming client gets the
 // credit, so interleaved tenants cannot grow each other's depth.
-func (p *Stride) OnPrefetchHit(pid PID) { p.hits[pid]++ }
+func (p *Stride) OnPrefetchHit(pid PID) { p.hits.note(pid) }
 
 // Reset implements Prefetcher.
 func (p *Stride) Reset() {
-	*p = Stride{maxDepth: p.maxDepth, depth: 1, hits: make(map[PID]int)}
+	*p = Stride{maxDepth: p.maxDepth, depth: 1}
 }

@@ -387,9 +387,12 @@ func TestCoalescedAndDirtyReads(t *testing.T) {
 // TestAsyncFailover: a crashed primary mid-queue must fail reads over to
 // the replica during the flush, like the sync path does.
 func TestAsyncFailover(t *testing.T) {
-	inprocs := []*InProc{NewInProc(NewAgent(8, 0)), NewInProc(NewAgent(8, 0))}
+	fts := []*FaultTransport{
+		NewFaultTransport(0, NewInProc(NewAgent(8, 0)), nil),
+		NewFaultTransport(1, NewInProc(NewAgent(8, 0)), nil),
+	}
 	h, err := NewHost(HostConfig{SlabPages: 8, Replicas: 2, QueueDepth: 4, Seed: 13},
-		[]Transport{inprocs[0], inprocs[1]})
+		[]Transport{fts[0], fts[1]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +401,7 @@ func TestAsyncFailover(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	inprocs[0].SetFailed(true)
+	fts[0].SetMode(FaultMode{Crashed: true})
 	bufs := make([][]byte, 16)
 	tickets := make([]*Ticket, 16)
 	for p := range bufs {
@@ -420,7 +423,7 @@ func TestAsyncFailover(t *testing.T) {
 		t.Fatal("no failovers recorded — agent 0 held no primaries?")
 	}
 	// Both replicas dead: tickets must carry errors, not hang or panic.
-	inprocs[1].SetFailed(true)
+	fts[1].SetMode(FaultMode{Crashed: true})
 	buf := make([]byte, PageSize)
 	tk := h.ReadPageAsync(5, buf)
 	if err := tk.Wait(); err == nil {
@@ -524,11 +527,11 @@ func TestRebalanceMovesOnlyTheShare(t *testing.T) {
 // remove-an-agent path; the failed agent's share must migrate to survivors
 // and reads keep working with the failed agent dark.
 func TestRebalanceAfterFailureRestoresPlacement(t *testing.T) {
-	inprocs := make([]*InProc, 4)
+	fts := make([]*FaultTransport, 4)
 	trs := make([]Transport, 4)
 	for i := range trs {
-		inprocs[i] = NewInProc(NewAgent(4, 0))
-		trs[i] = inprocs[i]
+		fts[i] = NewFaultTransport(i, NewInProc(NewAgent(4, 0)), nil)
+		trs[i] = fts[i]
 	}
 	h, err := NewHost(HostConfig{SlabPages: 4, Replicas: 2, Seed: 17}, trs)
 	if err != nil {
@@ -539,7 +542,7 @@ func TestRebalanceAfterFailureRestoresPlacement(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	inprocs[1].SetFailed(true)
+	fts[1].SetMode(FaultMode{Crashed: true})
 	if err := h.MarkFailed(1); err != nil {
 		t.Fatal(err)
 	}

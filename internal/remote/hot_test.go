@@ -124,7 +124,7 @@ func TestReplicateHotRacingWrite(t *testing.T) {
 func TestDropHotRestoresCertification(t *testing.T) {
 	const slabPages, pages = 8, 64
 	const page = core.PageID(5)
-	h, inprocs := buildCluster(t, 4, slabPages, 11)
+	h, fts := buildCluster(t, 4, slabPages, 11)
 	v1, v2 := pageOf(1), pageOf(2)
 	for p := core.PageID(0); p < pages; p++ {
 		if err := h.WritePage(p, pageOf(byte(p))); err != nil {
@@ -145,7 +145,7 @@ func TestDropHotRestoresCertification(t *testing.T) {
 	replicas := slices.Clone(h.placements[slab])
 	h.mu.Unlock()
 	for _, idx := range replicas {
-		inprocs[idx].SetFailed(true)
+		fts[idx].SetMode(FaultMode{Crashed: true})
 	}
 	if err := h.WritePage(page, v2); err != nil {
 		t.Fatalf("degraded write: %v", err)
@@ -174,7 +174,7 @@ func TestDropHotRestoresCertification(t *testing.T) {
 	// Placement heals: the drop now copies the bytes back, re-certifies the
 	// placement replicas, and demotes cleanly.
 	for _, idx := range replicas {
-		inprocs[idx].SetFailed(false)
+		fts[idx].SetMode(FaultMode{})
 	}
 	if !h.DropHot(page) {
 		t.Fatal("DropHot refused with placement reachable")
@@ -218,7 +218,7 @@ func TestDropHotRestoresCertification(t *testing.T) {
 func TestDropHotPartialRestoreStaysDegraded(t *testing.T) {
 	const slabPages, pages = 8, 64
 	const page = core.PageID(5)
-	h, inprocs := buildCluster(t, 4, slabPages, 11)
+	h, fts := buildCluster(t, 4, slabPages, 11)
 	v2 := pageOf(2)
 	for p := core.PageID(0); p < pages; p++ {
 		if err := h.WritePage(p, pageOf(byte(p))); err != nil {
@@ -233,13 +233,13 @@ func TestDropHotPartialRestoreStaysDegraded(t *testing.T) {
 	replicas := slices.Clone(h.placements[slab])
 	h.mu.Unlock()
 	for _, idx := range replicas {
-		inprocs[idx].SetFailed(true)
+		fts[idx].SetMode(FaultMode{Crashed: true})
 	}
 	if err := h.WritePage(page, v2); err != nil {
 		t.Fatalf("degraded write: %v", err)
 	}
 	// Only one placement replica comes back: the drop restores what it can.
-	inprocs[replicas[0]].SetFailed(false)
+	fts[replicas[0]].SetMode(FaultMode{})
 	if !h.DropHot(page) {
 		t.Fatal("DropHot refused with a reachable placement replica")
 	}
@@ -250,7 +250,7 @@ func TestDropHotPartialRestoreStaysDegraded(t *testing.T) {
 		t.Fatalf("DegradedPages = %d after partial restore, want 1", n)
 	}
 	// Repair finishes the re-push once the other replica heals.
-	inprocs[replicas[1]].SetFailed(false)
+	fts[replicas[1]].SetMode(FaultMode{})
 	if _, err := h.RepairSlabs(); err != nil {
 		t.Fatal(err)
 	}
@@ -271,11 +271,11 @@ func TestDropHotPartialRestoreStaysDegraded(t *testing.T) {
 // HedgeWin, not a Failover, so the two stats stay distinguishable.
 func TestHedgeWinIsNotAFailover(t *testing.T) {
 	const slabPages, pages = 8, 64
-	inprocs := make([]*InProc, 3)
+	fts := make([]*FaultTransport, 3)
 	trs := make([]Transport, 3)
-	for i := range inprocs {
-		inprocs[i] = NewInProc(NewAgent(slabPages, 0))
-		trs[i] = inprocs[i]
+	for i := range fts {
+		fts[i] = NewFaultTransport(i, NewInProc(NewAgent(slabPages, 0)), nil)
+		trs[i] = fts[i]
 	}
 	h, err := NewHost(HostConfig{SlabPages: slabPages, Replicas: 2, Seed: 11,
 		Retry: RetryPolicy{HedgeReads: true}}, trs)
@@ -314,7 +314,7 @@ func TestHedgeWinIsNotAFailover(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	inprocs[primary].SetFailed(true)
+	fts[primary].SetMode(FaultMode{Crashed: true})
 
 	buf := make([]byte, PageSize)
 	if err := h.ReadPageAsync(page, buf).Wait(); err != nil {
@@ -341,11 +341,11 @@ func TestHedgeWinIsNotAFailover(t *testing.T) {
 // fresh.
 func TestHedgeNeverTargetsUnackedHolder(t *testing.T) {
 	const slabPages, pages = 8, 64
-	inprocs := make([]*InProc, 3)
+	fts := make([]*FaultTransport, 3)
 	trs := make([]Transport, 3)
-	for i := range inprocs {
-		inprocs[i] = NewInProc(NewAgent(slabPages, 0))
-		trs[i] = inprocs[i]
+	for i := range fts {
+		fts[i] = NewFaultTransport(i, NewInProc(NewAgent(slabPages, 0)), nil)
+		trs[i] = fts[i]
 	}
 	h, err := NewHost(HostConfig{SlabPages: slabPages, Replicas: 2, Seed: 11,
 		Retry: RetryPolicy{HedgeReads: true}}, trs)
@@ -363,11 +363,11 @@ func TestHedgeNeverTargetsUnackedHolder(t *testing.T) {
 	h.mu.Unlock()
 
 	// replicas[1] misses the second write: it still holds v1.
-	inprocs[replicas[1]].SetFailed(true)
+	fts[replicas[1]].SetMode(FaultMode{Crashed: true})
 	if err := h.WritePage(page, v2); err != nil {
 		t.Fatalf("degraded write: %v", err)
 	}
-	inprocs[replicas[1]].SetFailed(false)
+	fts[replicas[1]].SetMode(FaultMode{})
 	if err := h.SetAgentSlow(replicas[0], true); err != nil {
 		t.Fatal(err)
 	}

@@ -137,9 +137,12 @@ func TestHostWriteReadThroughInProc(t *testing.T) {
 
 func TestHostReplicationFailover(t *testing.T) {
 	agents := []*Agent{NewAgent(8, 0), NewAgent(8, 0)}
-	inprocs := []*InProc{NewInProc(agents[0]), NewInProc(agents[1])}
+	fts := []*FaultTransport{
+		NewFaultTransport(0, NewInProc(agents[0]), nil),
+		NewFaultTransport(1, NewInProc(agents[1]), nil),
+	}
 	h, err := NewHost(HostConfig{SlabPages: 8, Replicas: 2, Seed: 3},
-		[]Transport{inprocs[0], inprocs[1]})
+		[]Transport{fts[0], fts[1]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +151,7 @@ func TestHostReplicationFailover(t *testing.T) {
 	}
 	// Kill agent 0; the read must fail over to the replica regardless of
 	// which agent is primary.
-	inprocs[0].SetFailed(true)
+	fts[0].SetMode(FaultMode{Crashed: true})
 	buf := make([]byte, PageSize)
 	if err := h.ReadPage(5, buf); err != nil {
 		t.Fatalf("read with one dead agent: %v", err)
@@ -157,7 +160,7 @@ func TestHostReplicationFailover(t *testing.T) {
 		t.Fatal("failover returned wrong data")
 	}
 	// Both dead: the read fails.
-	inprocs[1].SetFailed(true)
+	fts[1].SetMode(FaultMode{Crashed: true})
 	if err := h.ReadPage(5, buf); err == nil {
 		t.Fatal("read succeeded with all agents dead")
 	}
@@ -165,13 +168,16 @@ func TestHostReplicationFailover(t *testing.T) {
 
 func TestHostWriteSurvivesOneReplicaFailure(t *testing.T) {
 	agents := []*Agent{NewAgent(8, 0), NewAgent(8, 0)}
-	inprocs := []*InProc{NewInProc(agents[0]), NewInProc(agents[1])}
+	fts := []*FaultTransport{
+		NewFaultTransport(0, NewInProc(agents[0]), nil),
+		NewFaultTransport(1, NewInProc(agents[1]), nil),
+	}
 	h, _ := NewHost(HostConfig{SlabPages: 8, Replicas: 2, Seed: 3},
-		[]Transport{inprocs[0], inprocs[1]})
+		[]Transport{fts[0], fts[1]})
 	if err := h.WritePage(1, pageOf(1)); err != nil {
 		t.Fatal(err)
 	}
-	inprocs[1].SetFailed(true)
+	fts[1].SetMode(FaultMode{Crashed: true})
 	if err := h.WritePage(1, pageOf(2)); err != nil {
 		t.Fatalf("write with one dead replica: %v", err)
 	}

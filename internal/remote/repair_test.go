@@ -10,7 +10,7 @@ import (
 )
 
 // flaky wraps a Transport and fails every nth call — transient network
-// faults, as opposed to InProc's hard kill.
+// faults, as opposed to a crashed FaultTransport's hard kill.
 type flaky struct {
 	inner Transport
 	mu    sync.Mutex
@@ -31,23 +31,23 @@ func (f *flaky) Call(req *Request) (*Response, error) {
 
 func (f *flaky) Close() error { return f.inner.Close() }
 
-func buildCluster(t *testing.T, n, slabPages int, seed uint64) (*Host, []*InProc) {
+func buildCluster(t *testing.T, n, slabPages int, seed uint64) (*Host, []*FaultTransport) {
 	t.Helper()
-	inprocs := make([]*InProc, n)
+	fts := make([]*FaultTransport, n)
 	trs := make([]Transport, n)
 	for i := 0; i < n; i++ {
-		inprocs[i] = NewInProc(NewAgent(slabPages, 0))
-		trs[i] = inprocs[i]
+		fts[i] = NewFaultTransport(i, NewInProc(NewAgent(slabPages, 0)), nil)
+		trs[i] = fts[i]
 	}
 	h, err := NewHost(HostConfig{SlabPages: slabPages, Replicas: 2, Seed: seed}, trs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return h, inprocs
+	return h, fts
 }
 
 func TestRepairRestoresReplication(t *testing.T) {
-	h, inprocs := buildCluster(t, 4, 16, 11)
+	h, fts := buildCluster(t, 4, 16, 11)
 	// Write 8 slabs' worth of pages.
 	for p := core.PageID(0); p < 128; p++ {
 		if err := h.WritePage(p, pageOf(byte(p))); err != nil {
@@ -56,7 +56,7 @@ func TestRepairRestoresReplication(t *testing.T) {
 	}
 
 	// Kill agent 0 for good.
-	inprocs[0].SetFailed(true)
+	fts[0].SetMode(FaultMode{Crashed: true})
 	if err := h.MarkFailed(0); err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestRepairRestoresReplication(t *testing.T) {
 	// time and verifying data stays readable: with repair done, each slab
 	// again has two live replicas, so any single additional failure is
 	// survivable.
-	inprocs[1].SetFailed(true)
+	fts[1].SetMode(FaultMode{Crashed: true})
 	buf := make([]byte, PageSize)
 	for p := core.PageID(0); p < 128; p++ {
 		if err := h.ReadPage(p, buf); err != nil {
@@ -92,7 +92,7 @@ func TestRepairRestoresReplication(t *testing.T) {
 }
 
 func TestRepairCopiesContentExactly(t *testing.T) {
-	h, inprocs := buildCluster(t, 3, 8, 13)
+	h, fts := buildCluster(t, 3, 8, 13)
 	want := make(map[core.PageID][]byte)
 	for p := core.PageID(0); p < 32; p++ {
 		data := pageOf(byte(p * 7))
@@ -102,7 +102,7 @@ func TestRepairCopiesContentExactly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	inprocs[2].SetFailed(true)
+	fts[2].SetMode(FaultMode{Crashed: true})
 	if err := h.MarkFailed(2); err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +123,11 @@ func TestRepairCopiesContentExactly(t *testing.T) {
 }
 
 func TestRepairNoHealthyAgent(t *testing.T) {
-	h, inprocs := buildCluster(t, 2, 8, 17)
+	h, fts := buildCluster(t, 2, 8, 17)
 	if err := h.WritePage(0, pageOf(1)); err != nil {
 		t.Fatal(err)
 	}
-	inprocs[0].SetFailed(true)
+	fts[0].SetMode(FaultMode{Crashed: true})
 	if err := h.MarkFailed(0); err != nil {
 		t.Fatal(err)
 	}
@@ -146,8 +146,8 @@ func TestMarkFailedValidation(t *testing.T) {
 }
 
 func TestFailedAgentExcludedFromNewPlacements(t *testing.T) {
-	h, inprocs := buildCluster(t, 3, 8, 23)
-	inprocs[0].SetFailed(true)
+	h, fts := buildCluster(t, 3, 8, 23)
+	fts[0].SetMode(FaultMode{Crashed: true})
 	if err := h.MarkFailed(0); err != nil {
 		t.Fatal(err)
 	}
@@ -193,9 +193,12 @@ func TestPurgeAgentClearsOrphanedDegradedFlag(t *testing.T) {
 	// the degraded flag must go with the acked entry, or the page wedges
 	// every future repair barrier with un-actionable re-push work.
 	agents := []*Agent{NewAgent(8, 0), NewAgent(8, 0)}
-	inprocs := []*InProc{NewInProc(agents[0]), NewInProc(agents[1])}
+	fts := []*FaultTransport{
+		NewFaultTransport(0, NewInProc(agents[0]), nil),
+		NewFaultTransport(1, NewInProc(agents[1]), nil),
+	}
 	h, err := NewHost(HostConfig{SlabPages: 8, Replicas: 2, Seed: 3},
-		[]Transport{inprocs[0], inprocs[1]})
+		[]Transport{fts[0], fts[1]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +211,7 @@ func TestPurgeAgentClearsOrphanedDegradedFlag(t *testing.T) {
 		t.Fatalf("setup: acked = %v", acked)
 	}
 	down := acked[1]
-	inprocs[down].SetFailed(true)
+	fts[down].SetMode(FaultMode{Crashed: true})
 	if err := h.WritePage(1, pageOf(2)); err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +224,7 @@ func TestPurgeAgentClearsOrphanedDegradedFlag(t *testing.T) {
 	}
 	// Crash the sole holder and purge it: the write is lost, and the
 	// degraded flag must not survive as permanent un-repairable backlog.
-	inprocs[down].SetFailed(false)
+	fts[down].SetMode(FaultMode{})
 	if _, err := h.PurgeAgent(sole[0]); err != nil {
 		t.Fatal(err)
 	}

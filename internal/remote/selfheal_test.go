@@ -185,7 +185,7 @@ func TestTicketFailureContexts(t *testing.T) {
 	cases := []struct {
 		name  string
 		retry RetryPolicy
-		run   func(t *testing.T, h *Host, inprocs []*InProc) error
+		run   func(t *testing.T, h *Host, fts []*FaultTransport) error
 
 		wantErr      bool
 		wantCause    error
@@ -195,7 +195,7 @@ func TestTicketFailureContexts(t *testing.T) {
 	}{
 		{
 			name: "read-never-written",
-			run: func(t *testing.T, h *Host, _ []*InProc) error {
+			run: func(t *testing.T, h *Host, _ []*FaultTransport) error {
 				return h.ReadPageAsync(page, make([]byte, PageSize)).Wait()
 			},
 			wantErr: true, wantCause: ErrNeverWritten,
@@ -203,7 +203,7 @@ func TestTicketFailureContexts(t *testing.T) {
 		},
 		{
 			name: "read-bad-buffer",
-			run: func(t *testing.T, h *Host, _ []*InProc) error {
+			run: func(t *testing.T, h *Host, _ []*FaultTransport) error {
 				return h.ReadPageAsync(page, make([]byte, 8)).Wait()
 			},
 			wantErr: true,
@@ -211,12 +211,12 @@ func TestTicketFailureContexts(t *testing.T) {
 		},
 		{
 			name: "read-all-holders-down",
-			run: func(t *testing.T, h *Host, inprocs []*InProc) error {
+			run: func(t *testing.T, h *Host, fts []*FaultTransport) error {
 				if err := h.WritePage(page, latest); err != nil {
 					t.Fatal(err)
 				}
-				for _, p := range inprocs {
-					p.SetFailed(true)
+				for _, p := range fts {
+					p.SetMode(FaultMode{Crashed: true})
 				}
 				return h.ReadPageAsync(page, make([]byte, PageSize)).Wait()
 			},
@@ -226,14 +226,14 @@ func TestTicketFailureContexts(t *testing.T) {
 		{
 			name:  "read-deadline-exceeded",
 			retry: RetryPolicy{Deadline: 100 * sim.Microsecond},
-			run: func(t *testing.T, h *Host, inprocs []*InProc) error {
+			run: func(t *testing.T, h *Host, fts []*FaultTransport) error {
 				var now sim.Time
 				h.SetTimeSource(func() sim.Time { return now })
 				if err := h.WritePage(page, latest); err != nil {
 					t.Fatal(err)
 				}
-				for _, p := range inprocs {
-					p.SetFailed(true)
+				for _, p := range fts {
+					p.SetMode(FaultMode{Crashed: true})
 				}
 				tk := h.ReadPageAsync(page, make([]byte, PageSize))
 				now = now.Add(200 * sim.Microsecond) // budget elapses in flight
@@ -249,11 +249,11 @@ func TestTicketFailureContexts(t *testing.T) {
 		{
 			name:  "read-attempts-exhausted",
 			retry: RetryPolicy{MaxAttempts: 1},
-			run: func(t *testing.T, h *Host, inprocs []*InProc) error {
+			run: func(t *testing.T, h *Host, fts []*FaultTransport) error {
 				if err := h.WritePage(page, latest); err != nil {
 					t.Fatal(err)
 				}
-				inprocs[holders(h)[0]].SetFailed(true)
+				fts[holders(h)[0]].SetMode(FaultMode{Crashed: true})
 				return h.ReadPageAsync(page, make([]byte, PageSize)).Wait()
 			},
 			wantErr: true, wantCause: ErrAttemptsExhausted,
@@ -261,11 +261,11 @@ func TestTicketFailureContexts(t *testing.T) {
 		},
 		{
 			name: "read-requeue-after-failover",
-			run: func(t *testing.T, h *Host, inprocs []*InProc) error {
+			run: func(t *testing.T, h *Host, fts []*FaultTransport) error {
 				if err := h.WritePage(page, latest); err != nil {
 					t.Fatal(err)
 				}
-				inprocs[holders(h)[0]].SetFailed(true)
+				fts[holders(h)[0]].SetMode(FaultMode{Crashed: true})
 				buf := make([]byte, PageSize)
 				if err := h.ReadPageAsync(page, buf).Wait(); err != nil {
 					return err
@@ -283,13 +283,13 @@ func TestTicketFailureContexts(t *testing.T) {
 		{
 			name:  "read-backoff-charged-on-requeue",
 			retry: RetryPolicy{MaxAttempts: 4, BackoffBase: 10 * sim.Microsecond},
-			run: func(t *testing.T, h *Host, inprocs []*InProc) error {
+			run: func(t *testing.T, h *Host, fts []*FaultTransport) error {
 				var paused sim.Duration
 				h.SetBackoffObserver(func(agent int, d sim.Duration) { paused += d })
 				if err := h.WritePage(page, latest); err != nil {
 					t.Fatal(err)
 				}
-				inprocs[holders(h)[0]].SetFailed(true)
+				fts[holders(h)[0]].SetMode(FaultMode{Crashed: true})
 				buf := make([]byte, PageSize)
 				if err := h.ReadPageAsync(page, buf).Wait(); err != nil {
 					return err
@@ -302,12 +302,12 @@ func TestTicketFailureContexts(t *testing.T) {
 		},
 		{
 			name: "write-all-replicas-down",
-			run: func(t *testing.T, h *Host, inprocs []*InProc) error {
+			run: func(t *testing.T, h *Host, fts []*FaultTransport) error {
 				if err := h.WritePage(page, latest); err != nil {
 					t.Fatal(err)
 				}
-				for _, p := range inprocs {
-					p.SetFailed(true)
+				for _, p := range fts {
+					p.SetMode(FaultMode{Crashed: true})
 				}
 				return h.WritePageAsync(page, pageOf(9)).Wait()
 			},
@@ -318,17 +318,17 @@ func TestTicketFailureContexts(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			inprocs := make([]*InProc, 3)
+			fts := make([]*FaultTransport, 3)
 			trs := make([]Transport, 3)
-			for i := range inprocs {
-				inprocs[i] = NewInProc(NewAgent(8, 0))
-				trs[i] = inprocs[i]
+			for i := range fts {
+				fts[i] = NewFaultTransport(i, NewInProc(NewAgent(8, 0)), nil)
+				trs[i] = fts[i]
 			}
 			h, err := NewHost(HostConfig{SlabPages: 8, Replicas: 2, Seed: 11, Retry: tc.retry}, trs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			err = tc.run(t, h, inprocs)
+			err = tc.run(t, h, fts)
 			if !tc.wantErr {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -375,12 +375,12 @@ func TestTicketFailureContexts(t *testing.T) {
 // and no acked index ever points at stale bytes.
 func TestRecoverDuringRepair(t *testing.T) {
 	const slabPages, pages = 8, 64
-	inprocs := make([]*InProc, 4)
+	fts := make([]*FaultTransport, 4)
 	trs := make([]Transport, 4)
 	armed := false
-	for i := range inprocs {
-		inprocs[i] = NewInProc(NewAgent(slabPages, 0))
-		trs[i] = inprocs[i]
+	for i := range fts {
+		fts[i] = NewFaultTransport(i, NewInProc(NewAgent(slabPages, 0)), nil)
+		trs[i] = fts[i]
 	}
 	h, err := NewHost(HostConfig{SlabPages: slabPages, Replicas: 2, Seed: 11}, trs)
 	if err != nil {
@@ -389,7 +389,7 @@ func TestRecoverDuringRepair(t *testing.T) {
 	// Wrap the survivors so the first repair-pass transport call un-fails
 	// agent 0 mid-pass.
 	hook := func() {
-		inprocs[0].SetFailed(false)
+		fts[0].SetMode(FaultMode{})
 		if err := h.MarkRecovered(0); err != nil {
 			t.Errorf("MarkRecovered mid-repair: %v", err)
 		}
@@ -407,7 +407,7 @@ func TestRecoverDuringRepair(t *testing.T) {
 		}
 	}
 
-	inprocs[0].SetFailed(true)
+	fts[0].SetMode(FaultMode{Crashed: true})
 	if err := h.MarkFailed(0); err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func TestRecoverDuringRepair(t *testing.T) {
 // replication with no stale acked copy.
 func TestPurgeWhileTicketsInFlight(t *testing.T) {
 	const slabPages, pages, victim = 4, 16, 1
-	h, inprocs := buildCluster(t, 3, slabPages, 5)
+	h, fts := buildCluster(t, 3, slabPages, 5)
 	old := func(p core.PageID) []byte { return pageOf(byte(p)) }
 	for p := core.PageID(0); p < pages; p++ {
 		if err := h.WritePage(p, old(p)); err != nil {
@@ -468,7 +468,7 @@ func TestPurgeWhileTicketsInFlight(t *testing.T) {
 
 	// The victim restarts empty: its transport dies and the control plane
 	// purges it — with all those tickets still queued.
-	inprocs[victim].SetFailed(true)
+	fts[victim].SetMode(FaultMode{Crashed: true})
 	if dropped, err := h.PurgeAgent(victim); err != nil || dropped == 0 {
 		t.Fatalf("purge: dropped=%d err=%v", dropped, err)
 	}
@@ -533,7 +533,7 @@ func TestPurgeWhileTicketsInFlight(t *testing.T) {
 // and the cluster converges afterwards.
 func TestRecoverPurgeEdgeOrdering(t *testing.T) {
 	const slabPages, pages = 8, 64
-	h, inprocs := buildCluster(t, 4, slabPages, 11)
+	h, fts := buildCluster(t, 4, slabPages, 11)
 	latest := func(p core.PageID) []byte { return pageOf(byte(p)) }
 	for p := core.PageID(0); p < pages; p++ {
 		if err := h.WritePage(p, latest(p)); err != nil {
@@ -541,7 +541,7 @@ func TestRecoverPurgeEdgeOrdering(t *testing.T) {
 		}
 	}
 
-	inprocs[2].SetFailed(true)
+	fts[2].SetMode(FaultMode{Crashed: true})
 	if err := h.MarkFailed(2); err != nil {
 		t.Fatal(err)
 	}
@@ -552,7 +552,7 @@ func TestRecoverPurgeEdgeOrdering(t *testing.T) {
 		t.Fatalf("double purge not a no-op: dropped=%d err=%v", dropped, err)
 	}
 
-	inprocs[2].SetFailed(false)
+	fts[2].SetMode(FaultMode{})
 	if err := h.MarkRecovered(2); err != nil {
 		t.Fatal(err)
 	}

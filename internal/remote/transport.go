@@ -19,31 +19,13 @@ type Transport interface {
 // used by simulations and unit tests.
 type InProc struct {
 	agent *Agent
-	// Fail simulates a crashed agent when true (for failover tests).
-	mu   sync.Mutex
-	fail bool
 }
 
 // NewInProc returns an in-process transport bound to agent.
 func NewInProc(agent *Agent) *InProc { return &InProc{agent: agent} }
 
-// SetFailed toggles simulated failure.
-func (t *InProc) SetFailed(fail bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.fail = fail
-}
-
 // Call implements Transport.
-func (t *InProc) Call(req *Request) (*Response, error) {
-	t.mu.Lock()
-	failed := t.fail
-	t.mu.Unlock()
-	if failed {
-		return nil, fmt.Errorf("remote: agent unreachable (simulated)")
-	}
-	return t.agent.Handle(req), nil
-}
+func (t *InProc) Call(req *Request) (*Response, error) { return t.agent.Handle(req), nil }
 
 // Close implements Transport.
 func (t *InProc) Close() error { return nil }

@@ -34,10 +34,9 @@ import (
 // eviction, while real page images move underneath.
 //
 // Time is virtual: every fault charges the modeled data-path + fabric
-// latency to the runtime's clock (WithClock shares it), so hit ratios,
-// latency percentiles and prefetch accuracy are reproducible bit-for-bit
-// from the options — while the bytes, placement, replication and failover
-// are real.
+// latency to the runtime's own clock, so hit ratios, latency percentiles
+// and prefetch accuracy are reproducible bit-for-bit from the options —
+// while the bytes, placement, replication and failover are real.
 //
 // Memory is safe for concurrent use: ReadAt, WriteAt, Get, Flush and Stats
 // may be called from arbitrary goroutines. The fault path is sharded by
@@ -57,10 +56,9 @@ import (
 // The paper's multi-process deployment (§4.1) maps onto Client handles:
 // each logical client id gets its own predictor over its own fault stream
 // (per stripe), while all clients share the page caches, the residency
-// budget and the remote host. Two caveats: the slice returned by Memory.Get
+// budget and the remote host. One caveat: the slice returned by Memory.Get
 // aliases the live frame table and is safe only for single-goroutine use
-// (Client.Get copies instead), and a clock shared via WithClock must not be
-// touched while operations are in flight.
+// (Client.Get copies instead).
 type Memory struct {
 	// shards are the PageID stripes of the fault path; page pg belongs to
 	// shards[uint64(pg)&mask]. len(shards) is a power of two.
@@ -132,7 +130,6 @@ type memOptions struct {
 	queueDepth int
 	conc       int
 	shards     int
-	clock      *sim.Clock
 	seed       uint64
 	agents     int
 	slabPages  int
@@ -250,11 +247,6 @@ func WithCompressedTier(bytes int64) Option { return func(o *memOptions) { o.zti
 // RemoteHostConfig.Compress on the supplied host instead.
 func WithWireCompression(on bool) Option { return func(o *memOptions) { o.wireComp = on } }
 
-// WithClock shares a virtual clock with the runtime (for virtual-time
-// tests: fault latencies are charged to it, so a test can interleave its
-// own events deterministically). Default: a private clock starting at 0.
-func WithClock(c *sim.Clock) Option { return func(o *memOptions) { o.clock = c } }
-
 // WithSeed seeds the latency models (fabric jitter, data-path stage draws).
 // Equal seeds and equal access sequences replay bit-identically.
 func WithSeed(seed uint64) Option { return func(o *memOptions) { o.seed = seed } }
@@ -319,14 +311,11 @@ func Open(opts ...Option) (*Memory, error) {
 		return nil, fmt.Errorf("leap: WithWireCompression configures the private in-process cluster; set RemoteHostConfig.Compress on the host passed to WithRemoteHost instead")
 	}
 	m := &Memory{
-		clock:     o.clock,
+		clock:     &sim.Clock{},
 		qdepth:    o.queueDepth,
 		conc:      o.conc,
 		slabPages: o.slabPages,
 		mask:      uint64(nshards - 1),
-	}
-	if m.clock == nil {
-		m.clock = &sim.Clock{}
 	}
 	m.host = o.host
 	if m.host == nil {

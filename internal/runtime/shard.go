@@ -231,7 +231,7 @@ func (s *shard) ztierEvicted(page core.PageID, raw []byte, dirty bool) {
 	if s.eng.Recording() {
 		s.nWritebacks++
 	}
-	s.eng.QueueWriteback(0, page, m.clock.Now())
+	s.eng.QueueWriteback(0, m.clock.Now())
 	if m.host.PendingWrites() >= m.qdepth {
 		m.latchWriteback(m.host.Flush())
 	}

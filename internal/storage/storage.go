@@ -12,7 +12,6 @@
 package storage
 
 import (
-	"leap/internal/core"
 	"leap/internal/metrics"
 	"leap/internal/rdma"
 	"leap/internal/sim"
@@ -27,13 +26,12 @@ import (
 // against the unbatched path.
 type BatchDevice interface {
 	Device
-	// ReadBatch starts reads of pages as one doorbell on core's queue at
+	// ReadBatch starts reads of n pages as one doorbell on core's queue at
 	// time now and returns per-page completion times (filled into done,
-	// allocated when nil or short). dists mirrors Read's distance argument,
-	// one entry per page.
-	ReadBatch(core int, now sim.Time, pages []core.PageID, dists []int64, done []sim.Time) []sim.Time
+	// allocated when nil or short).
+	ReadBatch(core int, now sim.Time, n int, done []sim.Time) []sim.Time
 	// WriteBatch behaves like ReadBatch for page-out traffic.
-	WriteBatch(core int, now sim.Time, pages []core.PageID, dists []int64, done []sim.Time) []sim.Time
+	WriteBatch(core int, now sim.Time, n int, done []sim.Time) []sim.Time
 }
 
 // Device is a backing store for 4KB pages. Implementations are not safe for
@@ -41,14 +39,14 @@ type BatchDevice interface {
 type Device interface {
 	// Name reports a short identifier ("hdd", "ssd", "remote").
 	Name() string
-	// Read starts a read of page at time now whose target is distance pages
+	// Read starts a page read at time now whose target is distance pages
 	// away from the previous access (0 = same page, 1 = sequential next);
 	// core identifies the submitting CPU for multi-queue devices. It
-	// returns the completion time. Latency-model devices ignore page;
-	// byte-backed devices (Backed) use it to address real data.
-	Read(core int, now sim.Time, page core.PageID, distance int64) sim.Time
-	// Write behaves like Read for page-out traffic.
-	Write(core int, now sim.Time, page core.PageID, distance int64) sim.Time
+	// returns the completion time.
+	Read(core int, now sim.Time, distance int64) sim.Time
+	// Write starts a page write at time now. Swap-out is slot-clustered,
+	// so writes carry no distance.
+	Write(core int, now sim.Time) sim.Time
 	// MeanReadLatency reports the unloaded expected read latency for a
 	// near-sequential access, for documentation and sanity checks.
 	MeanReadLatency() sim.Duration
@@ -120,16 +118,16 @@ func (d *HDD) service(now sim.Time, distance int64) sim.Time {
 }
 
 // Read implements Device.
-func (d *HDD) Read(_ int, now sim.Time, _ core.PageID, distance int64) sim.Time {
+func (d *HDD) Read(_ int, now sim.Time, distance int64) sim.Time {
 	d.Reads++
 	return d.service(now, distance)
 }
 
-// Write implements Device. Swap-out writes are charged the sequential cost
-// regardless of logical distance: Linux's swap slot allocator clusters
-// outgoing pages into contiguous slots precisely so page-out is a
-// sequential append, and the elevator merges them.
-func (d *HDD) Write(_ int, now sim.Time, _ core.PageID, _ int64) sim.Time {
+// Write implements Device. Swap-out writes are charged the sequential cost:
+// Linux's swap slot allocator clusters outgoing pages into contiguous slots
+// precisely so page-out is a sequential append, and the elevator merges
+// them.
+func (d *HDD) Write(_ int, now sim.Time) sim.Time {
 	d.Writes++
 	return d.service(now, 1)
 }
@@ -176,13 +174,13 @@ func (d *SSD) service(core int, now sim.Time, dist sim.Dist) sim.Time {
 }
 
 // Read implements Device.
-func (d *SSD) Read(cpu int, now sim.Time, _ core.PageID, _ int64) sim.Time {
+func (d *SSD) Read(cpu int, now sim.Time, _ int64) sim.Time {
 	d.Reads++
 	return d.service(cpu, now, d.read)
 }
 
 // Write implements Device.
-func (d *SSD) Write(cpu int, now sim.Time, _ core.PageID, _ int64) sim.Time {
+func (d *SSD) Write(cpu int, now sim.Time) sim.Time {
 	d.Writes++
 	return d.service(cpu, now, d.write)
 }
@@ -210,7 +208,7 @@ func NewRemote(fabric *rdma.Fabric) *Remote {
 func (d *Remote) Name() string { return "remote" }
 
 // Read implements Device.
-func (d *Remote) Read(cpu int, now sim.Time, _ core.PageID, _ int64) sim.Time {
+func (d *Remote) Read(cpu int, now sim.Time, _ int64) sim.Time {
 	d.Reads++
 	done := d.fabric.Submit(cpu, now)
 	d.ReadLatency.Observe(done.Sub(now))
@@ -218,7 +216,7 @@ func (d *Remote) Read(cpu int, now sim.Time, _ core.PageID, _ int64) sim.Time {
 }
 
 // Write implements Device.
-func (d *Remote) Write(cpu int, now sim.Time, _ core.PageID, _ int64) sim.Time {
+func (d *Remote) Write(cpu int, now sim.Time) sim.Time {
 	d.Writes++
 	return d.fabric.Submit(cpu, now)
 }
@@ -226,9 +224,9 @@ func (d *Remote) Write(cpu int, now sim.Time, _ core.PageID, _ int64) sim.Time {
 // ReadBatch implements BatchDevice: the pages go out as one fabric
 // doorbell, paying the round-trip latency once and streaming back at the
 // service rate (rdma.Fabric.SubmitBatch). A batch of 1 is exactly Read.
-func (d *Remote) ReadBatch(cpu int, now sim.Time, pages []core.PageID, dists []int64, done []sim.Time) []sim.Time {
-	d.Reads += int64(len(pages))
-	done = d.fabric.SubmitBatch(cpu, len(pages), now, done)
+func (d *Remote) ReadBatch(cpu int, now sim.Time, n int, done []sim.Time) []sim.Time {
+	d.Reads += int64(n)
+	done = d.fabric.SubmitBatch(cpu, n, now, done)
 	for _, t := range done {
 		d.ReadLatency.Observe(t.Sub(now))
 	}
@@ -236,9 +234,9 @@ func (d *Remote) ReadBatch(cpu int, now sim.Time, pages []core.PageID, dists []i
 }
 
 // WriteBatch implements BatchDevice.
-func (d *Remote) WriteBatch(cpu int, now sim.Time, pages []core.PageID, dists []int64, done []sim.Time) []sim.Time {
-	d.Writes += int64(len(pages))
-	return d.fabric.SubmitBatch(cpu, len(pages), now, done)
+func (d *Remote) WriteBatch(cpu int, now sim.Time, n int, done []sim.Time) []sim.Time {
+	d.Writes += int64(n)
+	return d.fabric.SubmitBatch(cpu, n, now, done)
 }
 
 // MeanReadLatency implements Device.

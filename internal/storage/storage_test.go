@@ -13,7 +13,7 @@ func meanRead(d Device, distance int64, n int, gap sim.Duration) float64 {
 	now := sim.Time(0)
 	for i := 0; i < n; i++ {
 		now = now.Add(gap)
-		done := d.Read(i, now, 0, distance)
+		done := d.Read(i, now, distance)
 		sum += float64(done.Sub(now))
 	}
 	return sum / float64(n)
@@ -42,8 +42,8 @@ func TestHDDSeekTiers(t *testing.T) {
 func TestHDDSerializesOnHead(t *testing.T) {
 	d := NewHDD(sim.NewRNG(4))
 	// Two overlapping requests: the second completes after the first.
-	t1 := d.Read(0, 0, 0, 10)
-	t2 := d.Read(1, 0, 0, 10)
+	t1 := d.Read(0, 0, 10)
+	t2 := d.Read(1, 0, 10)
 	if t2 <= t1 {
 		t.Fatalf("HDD head did not serialize: %v then %v", t1, t2)
 	}
@@ -73,8 +73,8 @@ func TestSSDWritesSlower(t *testing.T) {
 	const n = 20000
 	for i := 0; i < n; i++ {
 		now := sim.Time(i) * sim.Time(sim.Millisecond)
-		rsum += float64(d.Read(i, now, 0, 1).Sub(now))
-		wsum += float64(d.Write(i, now, 0, 1).Sub(now))
+		rsum += float64(d.Read(i, now, 1).Sub(now))
+		wsum += float64(d.Write(i, now).Sub(now))
 	}
 	if wsum <= rsum {
 		t.Fatal("SSD writes should be slower than reads")
@@ -86,7 +86,7 @@ func TestSSDChannelsParallel(t *testing.T) {
 	// 8 simultaneous reads on distinct channels do not serialize fully.
 	var maxDone sim.Time
 	for core := 0; core < 8; core++ {
-		done := d.Read(core, 0, 0, 1)
+		done := d.Read(core, 0, 1)
 		if done > maxDone {
 			maxDone = done
 		}
@@ -118,7 +118,7 @@ func TestRemoteCongestionUnderBurst(t *testing.T) {
 	d := NewRemote(fabric)
 	var last sim.Time
 	for i := 0; i < 64; i++ {
-		last = d.Read(0, 0, 0, 1)
+		last = d.Read(0, 0, 1)
 	}
 	if last < sim.Time(63*2*sim.Microsecond) {
 		t.Fatalf("burst did not congest the single queue: %v", sim.Duration(last))

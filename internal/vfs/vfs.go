@@ -10,11 +10,11 @@
 package vfs
 
 import (
-	"container/heap"
 	"fmt"
 
 	"leap/internal/core"
 	"leap/internal/datapath"
+	"leap/internal/eventq"
 	"leap/internal/metrics"
 	"leap/internal/pagecache"
 	"leap/internal/prefetch"
@@ -47,19 +47,7 @@ type arrival struct {
 	at   sim.Time
 }
 
-type arrivalHeap []arrival
-
-func (h arrivalHeap) Len() int            { return len(h) }
-func (h arrivalHeap) Less(i, j int) bool  { return h[i].at < h[j].at }
-func (h arrivalHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *arrivalHeap) Push(x interface{}) { *h = append(*h, x.(arrival)) }
-func (h *arrivalHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
+func arrivalLess(a, b arrival) bool { return a.at < b.at }
 
 // FS is the simulated remote file system. Not safe for concurrent use.
 type FS struct {
@@ -71,7 +59,7 @@ type FS struct {
 	pf    prefetch.Prefetcher
 
 	inflight    map[core.PageID]sim.Time
-	inflights   arrivalHeap
+	inflights   *eventq.Heap[arrival]
 	lastDevPage core.PageID
 	candBuf     []core.PageID
 
@@ -100,9 +88,10 @@ func New(cfg Config) *FS {
 			Capacity: cfg.CacheCapacity,
 			Policy:   cfg.CachePolicy,
 		}),
-		dev:      dev,
-		pf:       pf,
-		inflight: make(map[core.PageID]sim.Time),
+		dev:       dev,
+		pf:        pf,
+		inflight:  make(map[core.PageID]sim.Time),
+		inflights: eventq.New(arrivalLess),
 	}
 }
 
@@ -113,8 +102,8 @@ func (f *FS) Cache() *pagecache.Cache { return f.cache }
 func (f *FS) Now() sim.Time { return f.clock.Now() }
 
 func (f *FS) flushArrivals(now sim.Time) {
-	for len(f.inflights) > 0 && f.inflights[0].at <= now {
-		a := heap.Pop(&f.inflights).(arrival)
+	for f.inflights.Len() > 0 && f.inflights.Peek().at <= now {
+		a := f.inflights.Pop()
 		if at, ok := f.inflight[a.page]; ok && at == a.at {
 			delete(f.inflight, a.page)
 			f.cache.Insert(a.page, true, a.at)
@@ -132,9 +121,8 @@ func (f *FS) Write(pid PID, page core.PageID, think sim.Duration) sim.Duration {
 	f.flushArrivals(now)
 	lat := f.path.HitLatency() // buffered write: cache insert cost
 	f.cache.Insert(page, false, now)
-	dist := int64(page - f.lastDevPage)
 	f.lastDevPage = page
-	f.dev.Write(int(pid), now, page, dist)
+	f.dev.Write(int(pid), now)
 	f.Counters.Inc("writes")
 	f.WriteLatency.Observe(lat)
 	f.clock.Advance(lat)
@@ -171,7 +159,7 @@ func (f *FS) Read(pid PID, page core.PageID, think sim.Duration) sim.Duration {
 		dist := int64(page - f.lastDevPage)
 		f.lastDevPage = page
 		submit := now.Add(b.Total())
-		done := f.dev.Read(int(pid), submit, page, dist)
+		done := f.dev.Read(int(pid), submit, dist)
 		lat = b.Total() + done.Sub(submit) + f.cache.AllocLatency()
 		f.cache.Insert(page, false, now.Add(lat))
 		f.Counters.Inc("cache_misses")
@@ -195,9 +183,9 @@ func (f *FS) issuePrefetches(pid PID, cands []core.PageID, now sim.Time) {
 		}
 		dist := int64(c - f.lastDevPage)
 		f.lastDevPage = c
-		done := f.dev.Read(int(pid), now, c, dist)
+		done := f.dev.Read(int(pid), now, dist)
 		f.inflight[c] = done
-		heap.Push(&f.inflights, arrival{page: c, at: done})
+		f.inflights.Push(arrival{page: c, at: done})
 		f.Counters.Inc("prefetch_issued")
 	}
 }

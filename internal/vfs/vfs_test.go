@@ -45,6 +45,28 @@ func TestWriteThenReadHitsCache(t *testing.T) {
 	}
 }
 
+// TestWriteThenReadLatencies is TestWriteThenReadHitsCache over a 64 KB
+// run: 16 buffered page writes stay cheap and every read-back hits.
+func TestWriteThenReadLatencies(t *testing.T) {
+	f := New(leanCfg(4))
+	var wlat, rlat sim.Duration
+	for p := core.PageID(0); p < 16; p++ {
+		wlat += f.Write(1, p, 100)
+	}
+	if wlat > 16*2*sim.Microsecond {
+		t.Fatalf("buffered write latency %v too high", wlat)
+	}
+	for p := core.PageID(0); p < 16; p++ {
+		rlat += f.Read(1, p, 100)
+	}
+	if rlat > 16*2*sim.Microsecond {
+		t.Fatalf("cached read latency %v too high", rlat)
+	}
+	if f.Counters.Get("cache_hits") < 16 {
+		t.Fatalf("cache hits = %d, want >= 16", f.Counters.Get("cache_hits"))
+	}
+}
+
 func TestColdReadPaysFullPath(t *testing.T) {
 	f := New(legacyCfg(2))
 	// Random far-apart pages: read-ahead stays off, every read misses.
@@ -90,6 +112,20 @@ func TestSequentialReadPrefetchWorks(t *testing.T) {
 	}
 	if f.ReadLatency.Percentile(50) > 2*sim.Microsecond {
 		t.Fatalf("sequential p50 = %v, want ~hit latency", f.ReadLatency.Percentile(50))
+	}
+}
+
+// TestColdSequentialReadPrefetches reads a cold 4 MB region once, with no
+// warm-up run: Leap must still serve most of its pages from prefetch.
+func TestColdSequentialReadPrefetches(t *testing.T) {
+	f := New(leanCfg(5))
+	for p := core.PageID(0); p < 1024; p++ {
+		f.Read(1, p, 300)
+	}
+	hits := f.Counters.Get("cache_hits") + f.Counters.Get("inflight_hits")
+	reads := f.Counters.Get("reads")
+	if rate := float64(hits) / float64(reads); rate < 0.6 {
+		t.Fatalf("cold sequential prefetch rate = %.3f, want >= 0.6", rate)
 	}
 }
 

@@ -40,11 +40,6 @@ type MemoryStats = runtime.Stats
 // Option configures Open.
 type Option = runtime.Option
 
-// Clock is a monotonically advancing virtual clock (zero value usable);
-// share one with a Memory via WithClock to interleave test events with
-// fault latencies deterministically.
-type Clock = sim.Clock
-
 // Duration is a span of virtual time (nanoseconds), the unit every latency
 // and cadence knob in this package is expressed in.
 type Duration = sim.Duration
@@ -136,13 +131,6 @@ func WithConcurrency(n int) Option { return runtime.WithConcurrency(n) }
 // serialized runtime; WithCacheCapacity must supply at least one page per
 // shard.
 func WithShards(n int) Option { return runtime.WithShards(n) }
-
-// WithClock shares a virtual clock with the runtime (for virtual-time
-// tests: fault latencies are charged to it, so a test can interleave its
-// own events deterministically). Default: a private clock starting at 0.
-// A shared clock must not be touched while operations are in flight on
-// other goroutines.
-func WithClock(c *sim.Clock) Option { return runtime.WithClock(c) }
 
 // WithSeed seeds the latency models (fabric jitter, data-path stage draws).
 // Equal seeds and equal access sequences replay bit-identically.
